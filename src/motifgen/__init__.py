@@ -16,7 +16,7 @@ from .codec import (
     static_edge_count,
     transition_type_count,
 )
-from .counting import SpectrumCounts, count_motifs
+from .counting import SpectrumCounts, count_motifs, count_spectra
 from .events import (
     EdgeListParseError,
     EdgeListValidationError,
@@ -67,6 +67,7 @@ __all__ = [
     "cold_event_fraction",
     "compare_report",
     "count_motifs",
+    "count_spectra",
     "encode",
     "enumerate_codes",
     "extract_profile",

@@ -176,8 +176,11 @@ def compare(original: str, synthetics: tuple[str, ...], delta_c: int,
     """Compare synthetic edge lists against the original."""
     orig = _load(original)
     synths = [_load(p) for p in synthetics]
-    report = compare_report(orig, synths, delta_c=delta_c, l_set=l_set,
-                            window_count=windows)
+    try:
+        report = compare_report(orig, synths, delta_c=delta_c, l_set=l_set,
+                                window_count=windows)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     Path(out_path).write_text(json.dumps(report, indent=1) + "\n",
                               encoding="ascii")
     if fmt == "csv":

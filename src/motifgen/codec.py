@@ -135,13 +135,8 @@ class MotifCode:
 CODE_01 = MotifCode(((0, 1),))
 
 
-def encode_pairs(events: Iterable[Event | tuple]) -> tuple[Pair, ...]:
-    """Digit pairs for an ordered event list, without building a MotifCode.
-
-    Used by the hot loops (extraction, counting) which track codes as raw
-    pair tuples and only materialize :class:`MotifCode` objects at the edges
-    of the API.
-    """
+def encode(events: Iterable[Event | tuple]) -> MotifCode:
+    """Canonical code of an ordered, prefix-connected event list."""
     digit_of: dict[int, int] = {}
     pairs: list[Pair] = []
     for ev in events:
@@ -158,12 +153,7 @@ def encode_pairs(events: Iterable[Event | tuple]) -> tuple[Pair, ...]:
         pairs.append((digit_of[u], digit_of[v]))
     if not pairs:
         raise MotifEncodingError("cannot encode an empty event list")
-    return tuple(pairs)
-
-
-def encode(events: Iterable[Event | tuple]) -> MotifCode:
-    """Canonical code of an ordered, prefix-connected event list."""
-    return MotifCode(encode_pairs(events))
+    return MotifCode(tuple(pairs))
 
 
 MAX_SPECTRUM_EVENTS = 6  # spectrum growth is combinatorial; larger l has no use here

@@ -6,6 +6,13 @@ event sharing a node with the earlier ones. Instances may overlap (they are
 event subsets, not a partition). Enumeration backtracks from every root
 event over a per-node time index, assigning canonical digits incrementally
 so each completed instance lands directly on its type code.
+
+One walk to depth ``max(l_set)`` passes every shorter instance on its way
+down, so :func:`count_spectra` records each size in ``l_set`` as it goes
+(shared-prefix counting, Paranjape, Benson & Leskovec, WSDM 2017). Given
+equal-duration windows of the graph's span, it credits an instance to its
+root event's window when its last event lies in that window too: windows
+are monotone in time, so then every event of the instance lies inside it.
 """
 
 from __future__ import annotations
@@ -14,9 +21,10 @@ import os
 from bisect import bisect_right
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 
-from .codec import MotifCode, Pair
+from .codec import MotifCode
 from .events import TemporalGraph
 
 MAX_COUNT_EVENTS = 4  # l >= 5 counting is out of scope
@@ -26,12 +34,13 @@ WORKERS_ENV_VAR = "MOTIFGEN_WORKERS"
 
 @dataclass
 class SpectrumCounts:
-    """Per-type instance counts for one (l, delta_c) setting."""
+    """Per-type instance counts for one (l, delta_c), per-window totals if asked."""
 
     l: int
     delta_c: int
     counts: dict[MotifCode, int]
     inclusive: bool = True
+    windows: list[int] = field(default_factory=list)
 
     @property
     def total(self) -> int:
@@ -42,22 +51,49 @@ class SpectrumCounts:
             self.counts.items(), key=lambda kv: kv[0].pairs)}
 
 
-def _count_roots(src: list[int], dst: list[int], ts: list[int],
-                 node_events: dict[int, list[int]], l: int, delta_c: int,
-                 inclusive: bool, roots: range) -> Counter:
-    counts: Counter[tuple[Pair, ...]] = Counter()
-    # DFS state shared across roots; digits assigned on the way down,
-    # unwound on the way up.
-    digit_of: dict[int, int] = {}
-    motif_nodes: list[int] = []
+def check_count_args(l_set: Sequence[int], delta_c: int) -> None:
+    if not l_set:
+        raise ValueError("need at least one motif size")
+    for l in l_set:
+        if not 2 <= l <= MAX_COUNT_EVENTS:
+            raise ValueError(f"l must be in [2, {MAX_COUNT_EVENTS}], got {l}")
+    if delta_c <= 0:
+        raise ValueError(f"delta_c must be positive, got {delta_c}")
 
-    def candidates(last_idx: int) -> set[int]:
-        t_last = ts[last_idx]
-        bound = t_last + delta_c
+
+def _unpack(code: int, l: int) -> tuple[tuple[int, int], ...]:
+    """Digit pairs of a code packed by :meth:`_Walk.grow`, 6 bits a pair."""
+    return tuple(((code >> 6 * k + 3) & 7, (code >> 6 * k) & 7)
+                 for k in range(l - 1, -1, -1))
+
+
+class _Walk:
+    """One graph's per-node event index and the state of a walk over some of
+    its root events. An object, as recursive closures would form a reference
+    cycle that keeps the index alive until the next garbage collection."""
+
+    def __init__(self, g: TemporalGraph, levels: tuple[int, ...], delta_c: int,
+                 inclusive: bool, window_count: int):
+        self.src, self.dst, self.ts = ([e[k] for e in g.events] for k in range(3))
+        self.node_events: dict[int, list[int]] = {}
+        for idx, (u, v, _) in enumerate(g.events):
+            self.node_events.setdefault(u, []).append(idx)
+            self.node_events.setdefault(v, []).append(idx)
+        self.levels, self.delta_c, self.inclusive = levels, delta_c, inclusive
+        self.window_count = window_count
+        t0, span = (self.ts or [0])[0], max(g.timespan, 1)
+        self.window_of = [min((t - t0) * window_count // span, window_count - 1)
+                          for t in self.ts] if window_count else None
+
+    def candidates(self, last: int) -> set[int]:
+        """Events after ``last`` that touch the motif within ``delta_c``."""
+        ts, inclusive = self.ts, self.inclusive
+        t_last = ts[last]
+        bound = t_last + self.delta_c
         out: set[int] = set()
-        for node in motif_nodes:
-            evs = node_events[node]
-            j = bisect_right(evs, last_idx)
+        for node in self.digit_of:
+            evs = self.node_events[node]
+            j = bisect_right(evs, last)
             while j < len(evs):
                 idx = evs[j]
                 t = ts[idx]
@@ -68,97 +104,86 @@ def _count_roots(src: list[int], dst: list[int], ts: list[int],
                 j += 1
         return out
 
-    def grow(last_idx: int, pairs: tuple[Pair, ...], depth: int) -> None:
-        if depth + 1 == l:
+    def grow(self, last: int, code: int, size: int) -> None:
+        """Extend the instance of ``size`` - 1 events ending at ``last``. Its
+        code packs each digit pair (a, b) as a << 3 | b, 6 bits a pair."""
+        cands = self.candidates(last)
+        if not cands:
+            return
+        if self.window_count and size in self.levels:
+            w = self.window_of[self.root]
+            self.windows[size][w] += sum(self.window_of[i] == w for i in cands)
+        src, dst, digit_of = self.src, self.dst, self.digit_of
+        counts = self.counts[size]
+        if size == self.levels[-1]:
             # Leaf: a candidate always touches the motif, so at most one
             # endpoint is new and the fresh digit can be read off directly.
             nd = len(digit_of)
-            for idx in candidates(last_idx):
-                u, v = src[idx], dst[idx]
-                counts[pairs + ((digit_of.get(u, nd), digit_of.get(v, nd)),)] += 1
+            get = digit_of.get
+            for idx in cands:
+                counts[code << 6 | get(src[idx], nd) << 3 | get(dst[idx], nd)] += 1
             return
-        for idx in candidates(last_idx):
-            u, v = src[idx], dst[idx]
-            added = []
-            if u not in digit_of:
-                digit_of[u] = len(digit_of)
-                motif_nodes.append(u)
-                added.append(u)
-            if v not in digit_of:
-                digit_of[v] = len(digit_of)
-                motif_nodes.append(v)
-                added.append(v)
-            grow(idx, pairs + ((digit_of[u], digit_of[v]),), depth + 1)
-            for node in added:
-                del digit_of[node]
-                motif_nodes.pop()
+        record = size in self.levels
+        for idx in cands:
+            nodes = len(digit_of)  # source digit is assigned before target
+            key = (code << 6 | digit_of.setdefault(src[idx], nodes) << 3
+                   | digit_of.setdefault(dst[idx], len(digit_of)))
+            if record:
+                counts[key] += 1
+            self.grow(idx, key, size + 1)
+            for _ in range(len(digit_of) - nodes):
+                digit_of.popitem()  # digits unwind last in, first out
 
-    for root in roots:
-        u, v = src[root], dst[root]
-        digit_of[u] = 0
-        digit_of[v] = 1
-        motif_nodes.append(u)
-        motif_nodes.append(v)
-        grow(root, ((0, 1),), 1)
-        digit_of.clear()
-        motif_nodes.clear()
-    return counts
+    def run(self, roots: range) -> tuple[list[Counter], list[list[int]]]:
+        self.counts = [Counter() for _ in range(self.levels[-1] + 1)]
+        self.windows = [[0] * self.window_count for _ in self.counts]
+        for root in roots:  # digit_of: the motif's nodes in digit order
+            self.root, self.digit_of = root, {self.src[root]: 0, self.dst[root]: 1}
+            self.grow(root, 1, 2)  # 1 packs the root's pair (0, 1)
+        return self.counts, self.windows
 
 
-_WORKER_ARGS = None  # populated in forked workers
+def count_spectra(g: TemporalGraph, l_set: Sequence[int], delta_c: int,
+                  inclusive: bool = True, window_count: int = 0,
+                  workers: int | None = None) -> dict[int, SpectrumCounts]:
+    """Count the motif instances of ``g`` at every size in ``l_set`` with one
+    walk per root event, and with ``window_count`` > 0 their per-window totals.
 
+    ``inclusive`` counts gaps equal to ``delta_c`` as inside the ceiling.
+    ``workers`` > 1 splits the root events over processes (associative
+    merge, same result); defaults to the MOTIFGEN_WORKERS env var or 1.
+    """
+    check_count_args(l_set, delta_c)
+    if window_count < 0:
+        raise ValueError(f"window_count must not be negative, got {window_count}")
+    if workers is None:
+        workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
+    levels = tuple(sorted(set(l_set)))
+    walk = _Walk(g, levels, delta_c, inclusive, window_count)
 
-def _worker_init(args):
-    global _WORKER_ARGS
-    _WORKER_ARGS = args
+    n = len(g.events)
+    if workers > 1 and n > 1:
+        ranges = [range(i, n, workers) for i in range(min(workers, n))]
+        counts, windows = walk.run(range(0))  # empty totals to merge into
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for part_counts, part_windows in pool.map(walk.run, ranges):
+                for l in levels:
+                    counts[l].update(part_counts[l])
+                    windows[l] = [a + b for a, b in zip(windows[l], part_windows[l])]
+    else:
+        counts, windows = walk.run(range(n))
 
-
-def _worker_run(roots: range) -> Counter:
-    src, dst, ts, node_events, l, delta_c, inclusive = _WORKER_ARGS
-    return _count_roots(src, dst, ts, node_events, l, delta_c, inclusive, roots)
+    return {l: SpectrumCounts(l, delta_c, {MotifCode(_unpack(code, l)): c
+                                           for code, c in counts[l].items()},
+                              inclusive, windows[l])
+            for l in levels}
 
 
 def count_motifs(g: TemporalGraph, l: int, delta_c: int,
                  inclusive: bool = True, workers: int | None = None) -> SpectrumCounts:
-    """Count all ``l``-event motif instances of ``g`` under ``delta_c``.
-
-    ``inclusive`` counts gaps equal to ``delta_c`` as inside the window.
-    ``workers`` > 1 splits the root events over processes (associative
-    merge, same result); defaults to the MOTIFGEN_WORKERS env var or 1.
+    """Count all ``l``-event motif instances of ``g`` under ``delta_c``: the
+    one-size, windowless case of :func:`count_spectra`, with its ``inclusive``
+    and ``workers`` semantics. For several sizes of one graph, call that once.
     """
-    if not 2 <= l <= MAX_COUNT_EVENTS:
-        raise ValueError(f"l must be in [2, {MAX_COUNT_EVENTS}], got {l}")
-    if delta_c <= 0:
-        raise ValueError(f"delta_c must be positive, got {delta_c}")
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
-
-    src = [e.src for e in g.events]
-    dst = [e.dst for e in g.events]
-    ts = [e.t for e in g.events]
-    node_events: dict[int, list[int]] = {}
-    for idx in range(len(src)):
-        node_events.setdefault(src[idx], []).append(idx)
-        node_events.setdefault(dst[idx], []).append(idx)
-
-    n = len(src)
-    if workers > 1 and n > 1:
-        args = (src, dst, ts, node_events, l, delta_c, inclusive)
-        chunk = max(1, (n + workers - 1) // workers)
-        ranges = [range(i, min(i + chunk, n)) for i in range(0, n, chunk)]
-        merged: Counter = Counter()
-        with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
-                                 initargs=(args,)) as pool:
-            for part in pool.map(_worker_run, ranges):
-                merged.update(part)
-        raw = merged
-    else:
-        raw = _count_roots(src, dst, ts, node_events, l, delta_c, inclusive,
-                           range(n))
-
-    return SpectrumCounts(
-        l=l,
-        delta_c=delta_c,
-        counts={MotifCode(pairs): c for pairs, c in raw.items()},
-        inclusive=inclusive,
-    )
+    return count_spectra(g, (l,), delta_c, inclusive=inclusive,
+                         workers=workers)[l]

@@ -8,6 +8,7 @@ opaque non-negative integers (no compaction), timestamps are integer seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import IO, Iterable, NamedTuple
 
 
@@ -50,8 +51,8 @@ class TemporalGraph:
     @classmethod
     def from_events(cls, events: Iterable[Event | tuple[int, int, int]],
                     dropped_self_loops: int = 0) -> "TemporalGraph":
-        evs = [Event(*e) for e in events]
-        evs.sort(key=lambda e: e.t)  # stable: ties keep input order
+        evs = [e if isinstance(e, Event) else Event(*e) for e in events]
+        evs.sort(key=itemgetter(2))  # by t; stable: ties keep input order
         return cls(events=tuple(evs), dropped_self_loops=dropped_self_loops)
 
     @property

@@ -14,7 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .counting import count_motifs
+# count_motifs stays importable from here: bench/spans.py wraps it by name.
+from .counting import check_count_args, count_motifs, count_spectra  # noqa: F401
 from .events import TemporalGraph, static_projection
 
 
@@ -126,30 +127,6 @@ def _shifted_timestamps(g: TemporalGraph) -> list[int]:
     return [e.t - t0 for e in g.events]
 
 
-def _window_totals(g: TemporalGraph, l: int, delta_c: int, window_count: int,
-                   inclusive: bool) -> list[int]:
-    """Motif totals per equal-duration window of the graph's own span.
-
-    A motif is attributed to a window when all of its events fall inside it.
-    """
-    if not g.events:
-        return [0] * window_count
-    t0 = g.events[0].t
-    span = max(g.timespan, 1)
-    buckets: list[list] = [[] for _ in range(window_count)]
-    for e in g.events:
-        w = min((e.t - t0) * window_count // span, window_count - 1)
-        buckets[w].append(e)
-    totals = []
-    for bucket in buckets:
-        if len(bucket) < l:
-            totals.append(0)
-            continue
-        sub = TemporalGraph.from_events(bucket)
-        totals.append(count_motifs(sub, l, delta_c, inclusive=inclusive).total)
-    return totals
-
-
 GLOBAL_METRICS = ("edge_count", "mean_degree", "n_components", "lcc_size",
                   "event_count", "timespan_seconds", "mean_iet",
                   "max_events_on_edge")
@@ -164,9 +141,13 @@ def compare_report(original: TemporalGraph, synthetics: Sequence[TemporalGraph],
     Emits the eight global-statistic ratios (synthetic mean over original),
     the four KS statistics averaged over replicas, MSRE per motif size and
     per motif type (``None`` where undefined), and per-window motif totals.
+    Each graph is counted once, for every size and window together.
     """
     if not synthetics:
         raise ValueError("need at least one synthetic graph")
+    check_count_args(l_set, delta_c)
+    if window_count < 1:
+        raise ValueError(f"window_count must be at least 1, got {window_count}")
 
     orig_stats = global_stats(original).as_dict()
     synth_stats = [global_stats(s).as_dict() for s in synthetics]
@@ -188,12 +169,16 @@ def compare_report(original: TemporalGraph, synthetics: Sequence[TemporalGraph],
         ks_totals["timestamp"] += ks_statistic(orig_ts, _shifted_timestamps(s))
     ks_mean = {k: v / len(synthetics) for k, v in ks_totals.items()}
 
+    orig_spectra = count_spectra(original, l_set, delta_c, inclusive=inclusive,
+                                 window_count=window_count)
+    synth_spectra = [count_spectra(s, l_set, delta_c, inclusive=inclusive,
+                                   window_count=window_count)
+                     for s in synthetics]
     msre_report: dict[str, dict] = {}
     window_report: dict[str, dict] = {}
     for l in l_set:
-        orig_counts = count_motifs(original, l, delta_c, inclusive=inclusive)
-        synth_counts = [count_motifs(s, l, delta_c, inclusive=inclusive)
-                        for s in synthetics]
+        orig_counts = orig_spectra[l]
+        synth_counts = [spectra[l] for spectra in synth_spectra]
         totals = [sc.total for sc in synth_counts]
         total_msre = msre(totals, orig_counts.total) if all(totals) else None
         per_code: dict[str, float | None] = {}
@@ -211,16 +196,10 @@ def compare_report(original: TemporalGraph, synthetics: Sequence[TemporalGraph],
             "total": total_msre,
             "per_code": per_code,
         }
-        orig_windows = _window_totals(original, l, delta_c, window_count,
-                                      inclusive)
-        synth_windows = [
-            _window_totals(s, l, delta_c, window_count, inclusive)
-            for s in synthetics
-        ]
         window_report[str(l)] = {
-            "original": orig_windows,
-            "synthetic_mean": [sum(col) / len(col)
-                               for col in zip(*synth_windows)],
+            "original": orig_counts.windows,
+            "synthetic_mean": [sum(col) / len(col) for col in
+                               zip(*(sc.windows for sc in synth_counts))],
         }
 
     return {

@@ -133,6 +133,32 @@ def oracle_count(g: TemporalGraph, l: int, delta_c: int,
     return dict(counts)
 
 
+def window_totals(g: TemporalGraph, l: int, delta_c: int, window_count: int,
+                  inclusive: bool = True) -> list[int]:
+    """Motif totals per equal-duration window of the graph's own span.
+
+    A motif is attributed to a window when all of its events fall inside it:
+    each window's events are rebuilt into a subgraph and counted by the
+    exhaustive oracle.
+    """
+    if not g.events:
+        return [0] * window_count
+    t0 = g.events[0].t
+    span = max(g.timespan, 1)
+    buckets: list[list] = [[] for _ in range(window_count)]
+    for e in g.events:
+        w = min((e.t - t0) * window_count // span, window_count - 1)
+        buckets[w].append(e)
+    totals = []
+    for bucket in buckets:
+        if len(bucket) < l:
+            totals.append(0)
+            continue
+        sub = TemporalGraph.from_events(bucket)
+        totals.append(sum(oracle_count(sub, l, delta_c, inclusive).values()))
+    return totals
+
+
 # ----------------------------------------------------------------- profiles
 
 def make_profile(probs: dict[str, dict[str, float]],

@@ -21,6 +21,7 @@ from motifgen import (
     Event,
     GenerationConfig,
     count_motifs,
+    count_spectra,
     enumerate_codes,
     extract_profile,
     generate,
@@ -260,10 +261,13 @@ def test_criterion_8_motif_fidelity(dataset):
     kind, bundle = dataset
     g = bundle["graph"]
     outs = bundle["synthetics"]
+    sizes = (2, 3, 4)
+    orig = count_spectra(g, sizes, DELTA_C)  # one walk per graph for every l
+    synths = [count_spectra(s, sizes, DELTA_C) for s in outs]
     results = {}
-    for l in (2, 3, 4):
-        orig_total = count_motifs(g, l, DELTA_C).total
-        synth_totals = [count_motifs(s, l, DELTA_C).total for s in outs]
+    for l in sizes:
+        orig_total = orig[l].total
+        synth_totals = [sp[l].total for sp in synths]
         results[l] = (msre(synth_totals, orig_total) if all(synth_totals)
                       else None)
     ok = (results[2] is not None and results[2] <= 0.5

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 
+import pytest
 from click.testing import CliRunner
 
 from motifgen import write_events
@@ -165,6 +166,18 @@ def test_compare_missing_synthetic_errors(tmp_path):
     result = run("compare", toy, tmp_path / "nope.txt",
                  "--out", tmp_path / "r.json")
     assert result.exit_code != 0
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--windows", 0), ("--l", 5), ("--delta-c", 0)])
+def test_compare_rejects_bad_arguments(tmp_path, option, value):
+    toy = write_toy(tmp_path)
+    result = run("compare", toy, toy, option, value,
+                 "--out", tmp_path / "r.json")
+    assert result.exit_code == 2  # usage error, not a traceback
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Error" in result.output
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_malformed_input_nonzero_exit(tmp_path):

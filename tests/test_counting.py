@@ -1,10 +1,11 @@
+import gc
 import random
 
 import pytest
 
-from motifgen import MotifCode, TemporalGraph, count_motifs
+from motifgen import MotifCode, TemporalGraph, count_motifs, count_spectra
 
-from helpers import oracle_count, random_stream
+from helpers import oracle_count, random_stream, window_totals
 
 
 def code(s: str) -> MotifCode:
@@ -132,3 +133,86 @@ def test_by_string_is_sorted_and_complete():
     rendered = counts.by_string()
     assert sum(rendered.values()) == counts.total
     assert list(rendered) == sorted(rendered)
+
+
+# ------------------------------------------------------- one-pass spectra
+
+def _tie_streams(seed: int, count: int):
+    """Criterion-4-style small random streams; timestamps tie often."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = random_stream(rng, n_events=rng.randint(2, 12),
+                          n_nodes=rng.randint(2, 5), t_max=rng.choice((8, 25, 60)))
+        yield g, rng.randint(1, 15), rng.randint(1, 6)
+
+
+@pytest.mark.parametrize("inclusive", [True, False])
+def test_spectra_match_count_motifs_and_oracle(inclusive):
+    for g, delta_c, _ in _tie_streams(2024, 80):
+        spectra = count_spectra(g, (2, 3, 4), delta_c, inclusive=inclusive)
+        assert sorted(spectra) == [2, 3, 4]
+        for l in (2, 3, 4):
+            single = count_motifs(g, l, delta_c, inclusive=inclusive)
+            assert spectra[l].counts == single.counts \
+                == oracle_count(g, l, delta_c, inclusive)
+            assert spectra[l].windows == []
+
+
+@pytest.mark.parametrize("inclusive", [True, False])
+def test_spectra_windows_match_rebuilt_subgraphs(inclusive):
+    for g, delta_c, window_count in _tie_streams(2025, 80):
+        spectra = count_spectra(g, (2, 3, 4), delta_c, inclusive=inclusive,
+                                window_count=window_count)
+        for l in (2, 3, 4):
+            assert spectra[l].windows == window_totals(
+                g, l, delta_c, window_count, inclusive)
+
+
+def test_spectra_worker_split_matches_sequential():
+    rng = random.Random(4244)
+    g = random_stream(rng, n_events=60, n_nodes=8, t_max=90)
+    seq = count_spectra(g, (2, 3, 4), 15, window_count=7, workers=1)
+    par = count_spectra(g, (2, 3, 4), 15, window_count=7, workers=2)
+    for l in (2, 3, 4):
+        assert par[l].counts == seq[l].counts
+        assert par[l].windows == seq[l].windows
+        assert sum(seq[l].windows) > 0
+
+
+@pytest.mark.parametrize("events", [[], [(1, 2, 5)]])
+def test_spectra_of_empty_and_one_event_graphs(events):
+    g = TemporalGraph.from_events(events)
+    spectra = count_spectra(g, (2, 3, 4), 10, window_count=4)
+    for l in (2, 3, 4):
+        assert spectra[l].counts == {}
+        assert spectra[l].windows == [0, 0, 0, 0]
+
+
+def test_spectra_when_all_events_share_one_timestamp():
+    g = TemporalGraph.from_events([(1, 2, 7), (2, 1, 7), (2, 3, 7), (3, 1, 7)])
+    spectra = count_spectra(g, (2, 3), 10, window_count=3)
+    for l in (2, 3):
+        assert spectra[l].counts == {}
+        assert spectra[l].windows == [0, 0, 0] == window_totals(g, l, 10, 3)
+
+
+def test_spectra_sizes_deduplicated_and_checked():
+    g = TemporalGraph.from_events([(1, 2, 0), (2, 3, 1), (3, 1, 2)])
+    assert sorted(count_spectra(g, (3, 2, 3), 10)) == [2, 3]
+    for bad in ((), (2, 5), (1,)):
+        with pytest.raises(ValueError):
+            count_spectra(g, bad, 10)
+    with pytest.raises(ValueError):
+        count_spectra(g, (2,), 10, window_count=-1)
+
+
+def test_spectra_leave_no_reference_cycles():
+    rng = random.Random(77)
+    g = random_stream(rng, n_events=40, n_nodes=6, t_max=60)
+    gc.collect()
+    gc.disable()
+    try:
+        count_spectra(g, (2, 3, 4), 12, window_count=3)
+        assert gc.collect() == 0  # the index is freed on return
+    finally:
+        gc.enable()

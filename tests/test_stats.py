@@ -141,6 +141,22 @@ def test_compare_report_requires_synthetics():
         compare_report(_burst_graph(), [], delta_c=10)
 
 
+@pytest.mark.parametrize("bad, match", [
+    ({"l_set": ()}, "motif size"),
+    ({"l_set": (2, 5)}, "l must be in"),
+    ({"l_set": (1,)}, "l must be in"),
+    ({"delta_c": 0}, "delta_c"),
+    ({"delta_c": -3}, "delta_c"),
+    ({"window_count": 0}, "window_count"),
+    ({"window_count": -2}, "window_count"),
+])
+def test_compare_report_rejects_bad_arguments_first(bad, match):
+    # the empty original would fail global statistics; arguments fail first
+    kwargs = {"delta_c": 10, "l_set": (2, 3), "window_count": 5, **bad}
+    with pytest.raises(ValueError, match=match):
+        compare_report(TemporalGraph.from_events([]), [_burst_graph()], **kwargs)
+
+
 def test_msre_undefined_reported_as_none():
     orig = _burst_graph()
     # a synthetic with no 3-event motifs at all: far-apart events
