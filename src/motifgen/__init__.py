@@ -13,7 +13,6 @@ from .codec import (
     MotifEncodingError,
     encode,
     enumerate_codes,
-    static_edge_count,
     transition_type_count,
 )
 from .counting import SpectrumCounts, count_motifs, count_spectra
@@ -84,7 +83,6 @@ __all__ = [
     "save_events",
     "save_profile",
     "simulate",
-    "static_edge_count",
     "static_projection",
     "transition_type_count",
     "write_events",

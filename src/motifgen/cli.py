@@ -20,7 +20,7 @@ from .counting import count_motifs
 from .events import TemporalGraph, load_events, write_events
 from .extraction import (cold_event_fraction, extract_profile, load_profile,
                          observed_transition_type_count, save_profile)
-from .generation import GenerationConfig, generate
+from .generation import GenerationConfig, GenerationError, generate
 from .stats import GLOBAL_METRICS, compare_report, global_stats
 
 DEFAULT_L_MAX = 4
@@ -90,10 +90,16 @@ def generate_cmd(profile_path: str, seed: int, runs: int, out_path: str):
     """Generate synthetic edge lists from a profile."""
     if runs < 1:
         raise click.UsageError("--runs must be at least 1")
-    profile = load_profile(profile_path)
+    try:
+        profile = load_profile(profile_path)
+    except ValueError as exc:
+        raise click.ClickException(f"{profile_path}: {exc}")
     for i in range(runs):
         run_seed = seed + i
-        g = generate(profile, GenerationConfig(seed=run_seed))
+        try:
+            g = generate(profile, GenerationConfig(seed=run_seed))
+        except GenerationError as exc:  # e.g. cold degrees that admit no edge
+            raise click.ClickException(f"{profile_path}: {exc}")
         path = _run_path(out_path, i) if runs > 1 else Path(out_path)
         header = (f"# generated by motifgen {__version__}: "
                   f"seed={run_seed} l_max={profile.l_max} delta={profile.delta}\n")

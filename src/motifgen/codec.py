@@ -84,23 +84,6 @@ class MotifCode:
         """Number of nodes (largest digit + 1)."""
         return max(max(p) for p in self.pairs) + 1
 
-    def extend(self, src_digit: int, dst_digit: int) -> "MotifCode":
-        """Appends one event pair; at most one digit may be new (== ``n``)."""
-        n = self.n
-        if src_digit == dst_digit:
-            raise MotifEncodingError("source and target digit must differ")
-        if src_digit > n or dst_digit > n:
-            raise MotifEncodingError(
-                f"digit skips ahead: ({src_digit}, {dst_digit}) with {n} nodes")
-        # digits <= n and distinct, so at most one is new and one is existing
-        return MotifCode(self.pairs + ((src_digit, dst_digit),))
-
-    def is_prefix_of(self, other: "MotifCode") -> bool:
-        return other.pairs[: len(self.pairs)] == self.pairs
-
-    def prefix(self, l: int) -> "MotifCode":
-        return MotifCode(self.pairs[:l])
-
     def static_edge_count(self) -> int:
         """Distinct (src, dst) digit pairs in the code."""
         return len(set(self.pairs))
@@ -201,7 +184,3 @@ def transition_type_count(l_max: int) -> int:
     if l_max < 2:
         raise ValueError("l_max must be at least 2")
     return sum(len(_enumerate_pairs(l)) for l in range(2, l_max + 1))
-
-
-def static_edge_count(code: MotifCode) -> int:
-    return code.static_edge_count()

@@ -4,13 +4,18 @@ The scan keeps a list of active transition processes. Each incoming event
 retires the processes it finds expired (older than the time limit ``delta``)
 or size-saturated (``l_max`` events), extends every remaining process whose
 node set it touches, and starts a new process if it extended none (a cold
-event). Probabilities, exponential rates, cold-event degree/timestamp data
-and the mean final-motif edge count are derived from the collected counts.
+event). The profile keeps what the scan counted: transition and stop counts,
+gap sums, and the cold events' degrees, edge weights and timestamps. The
+probabilities, exponential rates and mean final-motif edge count are derived
+from those counts whenever a profile is built. Saved profiles (format 2)
+store each counted number once; format 1 files, which also stored the
+derived numbers, are still read.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -49,9 +54,15 @@ class ProcessRecord:
 class TransitionProfile:
     """The transition statistics of one input graph.
 
-    ``counts`` includes stop keys (``TransitionKey(code, STOP)``); ``rates``
-    and ``delta_t_sums`` only cover real transitions. ``probs`` rows list the
-    non-stop successors; the stop mass is the implicit remainder to 1.
+    It holds only additive statistics: ``counts`` (stop keys
+    ``TransitionKey(code, STOP)`` included, one per finished process),
+    ``delta_t_sums`` (gap sum and gap count of every real transition) and
+    the cold-event data. Building a profile checks them and derives the
+    rest: ``probs`` rows list the non-stop successors in code order, the
+    stop mass being the implicit remainder to 1; ``rates`` are inverse mean
+    gaps; ``mu`` is the mean static edge count of the final motifs; and
+    ``cold_event_count`` is ``len(t_ce)``. So no profile can disagree with
+    itself, and a broken one raises ``ValueError`` when it is built.
     """
 
     l_max: int
@@ -59,21 +70,90 @@ class TransitionProfile:
     k_ce: list[tuple[int, int]]
     t_ce: list[int]
     ce_edge_weights: list[int]
-    probs: dict[MotifCode, dict[MotifCode, float]]
-    rates: dict[TransitionKey, float]
     counts: dict[TransitionKey, int]
     delta_t_sums: dict[TransitionKey, tuple[int, int]]
-    mu: float
-    cold_event_count: int
     input_event_count: int
     input_edge_count: int
     processes: list[ProcessRecord] | None = field(default=None, compare=False)
+    probs: dict[MotifCode, dict[MotifCode, float]] = field(
+        init=False, compare=False, repr=False)
+    rates: dict[TransitionKey, float] = field(init=False, compare=False,
+                                              repr=False)
+    mu: float = field(init=False, compare=False)
+    cold_event_count: int = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _validate(self)
+        totals: Counter[MotifCode] = Counter()  # row denominators, stops included
+        for key, c in self.counts.items():
+            totals[key.src] += c
+        self.probs, self.rates = {}, {}
+        for key in sorted(self.delta_t_sums,
+                          key=lambda k: (k.src.pairs, k.dst.pairs)):
+            self.probs.setdefault(key.src, {})[key.dst] = (
+                self.counts[key] / totals[key.src])
+            s, n = self.delta_t_sums[key]
+            # a zero mean gap is floored at the 1-second data resolution
+            self.rates[key] = 1.0 / (s / n or 1.0)
+        self.cold_event_count = len(self.t_ce)  # one stop per process
+        self.mu = sum(c * key.src.static_edge_count()
+                      for key, c in self.counts.items()
+                      if key.dst is STOP) / self.cold_event_count
 
     def stop_probability(self, code: MotifCode) -> float:
         row = self.probs.get(code)
         if not row:
             return 1.0
         return max(0.0, 1.0 - sum(row.values()))  # guard float rounding
+
+
+def _check_ints(what: str, values, low: float = 0) -> None:
+    for v in values:
+        if type(v) is not int or v < low:
+            raise ValueError(f"{what}: expected integers >= {low}, got {v!r}")
+
+
+def _validate(p: TransitionProfile) -> None:
+    """Raise ``ValueError`` naming the first broken profile invariant."""
+    _check_ints("l_max", [p.l_max], 2)
+    _check_ints("delta and input event and edge counts",
+                [p.delta, p.input_event_count, p.input_edge_count], 1)
+    _check_ints("cold timestamps", p.t_ce, -math.inf)
+    if any(len(pair) != 2 for pair in p.k_ce):
+        raise ValueError("k_ce entries must be (in, out) degree pairs")
+    _check_ints("cold degrees", [d for pair in p.k_ce for d in pair])
+    stubs_in = sum(i for i, _o in p.k_ce)
+    stubs_out = sum(o for _i, o in p.k_ce)
+    if stubs_in != stubs_out:
+        raise ValueError(f"unbalanced stub totals: {stubs_out} out vs {stubs_in} in")
+    if len(p.ce_edge_weights) != stubs_out:
+        raise ValueError(f"expected one weight per cold static edge: "
+                         f"{len(p.ce_edge_weights)} weights, {stubs_out} edges")
+    _check_ints("cold edge weights", p.ce_edge_weights, 1)
+    if not p.t_ce or sum(p.ce_edge_weights) != len(p.t_ce):
+        raise ValueError(f"cold edge weights sum to {sum(p.ce_edge_weights)}, "
+                         f"not to the {len(p.t_ce)} (>= 1) cold events")
+    _check_ints("transition counts", p.counts.values(), 1)
+    stops = transitions = 0
+    for (src, dst), c in p.counts.items():
+        if dst is STOP:
+            if src.l > p.l_max:
+                raise ValueError(f"{src} is longer than l_max {p.l_max}")
+            stops += c
+            continue
+        transitions += 1
+        if dst.pairs[:-1] != src.pairs or dst.l > p.l_max:
+            raise ValueError(f"{dst} does not extend {src} by one event "
+                             f"within l_max {p.l_max}")
+        if p.delta_t_sums.get(TransitionKey(src, dst), (0, None))[1] != c:
+            raise ValueError(f"gap count of {src} -> {dst} differs from "
+                             f"its transition count {c}")
+    if stops != len(p.t_ce):
+        raise ValueError(f"stop counts total {stops}, "
+                         f"not the {len(p.t_ce)} cold events")
+    if len(p.delta_t_sums) != transitions:
+        raise ValueError("gap sums listed for a transition without a count")
+    _check_ints("gap sums", (s for s, _n in p.delta_t_sums.values()), 0)
 
 
 class _Proc:
@@ -113,17 +193,11 @@ def extract_profile(g: TemporalGraph, delta: int, l_max: int,
 
     counts: Counter[tuple[PairsKey, PairsKey | _StopState]] = Counter()
     dt_sum: Counter[tuple[PairsKey, PairsKey]] = Counter()
-    dt_n: Counter[tuple[PairsKey, PairsKey]] = Counter()
-    edge_total = 0  # final-motif static edges, summed over processes
-    proc_total = 0
     cold: list[Event] = []
     records: list[ProcessRecord] | None = [] if keep_processes else None
 
     def retire(proc: _Proc, at_end: bool) -> None:
-        nonlocal edge_total, proc_total
         counts[(proc.pairs, STOP)] += 1
-        edge_total += len(set(proc.pairs))
-        proc_total += 1
         if records is not None:
             if len(proc.pairs) >= l_max:
                 reason = "size"
@@ -152,7 +226,6 @@ def extract_profile(g: TemporalGraph, delta: int, l_max: int,
                 key = (old_pairs, proc.pairs)
                 counts[key] += 1
                 dt_sum[key] += gap
-                dt_n[key] += 1
                 extended = True
             survivors.append(proc)
         active = survivors
@@ -173,46 +246,8 @@ def extract_profile(g: TemporalGraph, delta: int, l_max: int,
     k_ce = [(in_deg[n], out_deg[n]) for n in nodes]
     ce_edge_weights = sorted(weights.values())
 
-    # Row denominators: stops at the code plus all outgoing transitions.
-    out_by_src: dict[PairsKey, list[tuple[PairsKey, int]]] = {}
-    stop_by_src: dict[PairsKey, int] = {}
-    for (src, dst), c in counts.items():
-        if dst is STOP:
-            stop_by_src[src] = c
-        else:
-            out_by_src.setdefault(src, []).append((dst, c))
-
-    probs: dict[MotifCode, dict[MotifCode, float]] = {}
-    rates: dict[TransitionKey, float] = {}
-    final_counts: dict[TransitionKey, int] = {}
-    final_dt: dict[TransitionKey, tuple[int, int]] = {}
-    code_cache: dict[PairsKey, MotifCode] = {}
-
-    def as_code(pairs: PairsKey) -> MotifCode:
-        code = code_cache.get(pairs)
-        if code is None:
-            code = code_cache[pairs] = MotifCode(pairs)
-        return code
-
-    for src_pairs in sorted(out_by_src):
-        src = as_code(src_pairs)
-        outgoing = sorted(out_by_src[src_pairs])
-        denom = stop_by_src.get(src_pairs, 0) + sum(c for _, c in outgoing)
-        row: dict[MotifCode, float] = {}
-        for dst_pairs, c in outgoing:
-            dst = as_code(dst_pairs)
-            key = TransitionKey(src, dst)
-            row[dst] = c / denom
-            final_counts[key] = c
-            s, n = dt_sum[(src_pairs, dst_pairs)], dt_n[(src_pairs, dst_pairs)]
-            final_dt[key] = (s, n)
-            mean_dt = s / n
-            if mean_dt == 0:
-                mean_dt = 1.0  # floor at the 1-second data resolution
-            rates[key] = 1.0 / mean_dt
-        probs[src] = row
-    for src_pairs, c in sorted(stop_by_src.items()):
-        final_counts[TransitionKey(as_code(src_pairs), STOP)] = c
+    def transition_key(src: PairsKey, dst: PairsKey | _StopState) -> TransitionKey:
+        return TransitionKey(MotifCode(src), dst if dst is STOP else MotifCode(dst))
 
     return TransitionProfile(
         l_max=l_max,
@@ -220,12 +255,9 @@ def extract_profile(g: TemporalGraph, delta: int, l_max: int,
         k_ce=k_ce,
         t_ce=[e.t for e in cold],
         ce_edge_weights=ce_edge_weights,
-        probs=probs,
-        rates=rates,
-        counts=final_counts,
-        delta_t_sums=final_dt,
-        mu=edge_total / proc_total,
-        cold_event_count=len(cold),
+        counts={transition_key(*k): c for k, c in counts.items()},
+        delta_t_sums={transition_key(*k): (gap, counts[k])
+                      for k, gap in dt_sum.items()},
         input_event_count=len(g.events),
         input_edge_count=len(static_projection(g)),
         processes=records,
@@ -238,87 +270,78 @@ def cold_event_fraction(profile: TransitionProfile) -> float:
 
 def observed_transition_type_count(profile: TransitionProfile) -> int:
     """Distinct observed transition types, stop keys excluded."""
-    return sum(1 for key, c in profile.counts.items()
-               if key.dst is not STOP and c >= 1)
+    return sum(1 for key in profile.counts if key.dst is not STOP)
 
 
-PROFILE_FORMAT_VERSION = 1
+PROFILE_FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, 2)  # version 1 also stored the derived statistics
 _STOP_KEY = "stop"
 
 
 def profile_to_dict(profile: TransitionProfile) -> dict:
-    """JSON-ready form; code keys rendered as strings, stop keyed ``"stop"``."""
+    """JSON-ready form; code keys rendered as strings, stop keyed ``"stop"``.
+
+    Only the additive statistics are written; everything derived from them
+    is recomputed when the document is read back.
+    """
     counts_nested: dict[str, dict[str, int]] = {}
     for key, c in profile.counts.items():
         dst = _STOP_KEY if key.dst is STOP else key.dst.render()
         counts_nested.setdefault(key.src.render(), {})[dst] = c
-    rates_nested: dict[str, dict[str, float]] = {}
     dt_nested: dict[str, dict[str, list[int]]] = {}
-    for key, lam in profile.rates.items():
-        rates_nested.setdefault(key.src.render(), {})[key.dst.render()] = lam
     for key, (s, n) in profile.delta_t_sums.items():
         dt_nested.setdefault(key.src.render(), {})[key.dst.render()] = [s, n]
     return {
         "version": PROFILE_FORMAT_VERSION,
         "l_max": profile.l_max,
         "delta": profile.delta,
-        "mu": profile.mu,
-        "cold_event_count": profile.cold_event_count,
         "input_event_count": profile.input_event_count,
         "input_edge_count": profile.input_edge_count,
         "k_ce": [list(p) for p in profile.k_ce],
         "t_ce": list(profile.t_ce),
         "ce_edge_weights": list(profile.ce_edge_weights),
-        "probs": {src.render(): {dst.render(): p for dst, p in row.items()}
-                  for src, row in profile.probs.items()},
-        "rates": rates_nested,
         "counts": counts_nested,
         "delta_t": dt_nested,
     }
 
 
 def profile_from_dict(doc: dict) -> TransitionProfile:
-    version = doc.get("version")
-    if version != PROFILE_FORMAT_VERSION:
+    """Build a profile from a version 2 or version 1 document.
+
+    Version 1's derived sections (``probs``, ``rates``, ``mu`` and
+    ``cold_event_count``) are ignored. A missing key, a wrong type or a
+    broken invariant raises ``ValueError``.
+    """
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version not in _READABLE_VERSIONS:
         raise ValueError(f"unsupported profile version {version!r}")
-    probs = {
-        MotifCode.from_string(src): {
-            MotifCode.from_string(dst): p for dst, p in sorted(row.items())
-        }
-        for src, row in sorted(doc["probs"].items())
-    }
-    counts: dict[TransitionKey, int] = {}
-    for src, row in sorted(doc["counts"].items()):
-        src_code = MotifCode.from_string(src)
-        for dst, c in sorted(row.items()):
-            dst_state = STOP if dst == _STOP_KEY else MotifCode.from_string(dst)
-            counts[TransitionKey(src_code, dst_state)] = c
-    rates = {
-        TransitionKey(MotifCode.from_string(src), MotifCode.from_string(dst)): lam
-        for src, row in sorted(doc["rates"].items())
-        for dst, lam in sorted(row.items())
-    }
-    delta_t_sums = {
-        TransitionKey(MotifCode.from_string(src), MotifCode.from_string(dst)):
-            (entry[0], entry[1])
-        for src, row in sorted(doc["delta_t"].items())
-        for dst, entry in sorted(row.items())
-    }
-    return TransitionProfile(
-        l_max=doc["l_max"],
-        delta=doc["delta"],
-        k_ce=[tuple(p) for p in doc["k_ce"]],
-        t_ce=list(doc["t_ce"]),
-        ce_edge_weights=list(doc["ce_edge_weights"]),
-        probs=probs,
-        rates=rates,
-        counts=counts,
-        delta_t_sums=delta_t_sums,
-        mu=doc["mu"],
-        cold_event_count=doc["cold_event_count"],
-        input_event_count=doc["input_event_count"],
-        input_edge_count=doc["input_edge_count"],
-    )
+    try:
+        counts: dict[TransitionKey, int] = {}
+        for src, row in doc["counts"].items():
+            for dst, c in row.items():
+                dst_state = STOP if dst == _STOP_KEY else MotifCode.from_string(dst)
+                counts[TransitionKey(MotifCode.from_string(src), dst_state)] = c
+        delta_t_sums: dict[TransitionKey, tuple[int, int]] = {}
+        for src, row in doc["delta_t"].items():
+            for dst, (s, n) in row.items():
+                key = TransitionKey(MotifCode.from_string(src),
+                                    MotifCode.from_string(dst))
+                delta_t_sums[key] = (s, n)
+        return TransitionProfile(
+            l_max=doc["l_max"],
+            delta=doc["delta"],
+            k_ce=[tuple(p) for p in doc["k_ce"]],
+            t_ce=list(doc["t_ce"]),
+            ce_edge_weights=list(doc["ce_edge_weights"]),
+            counts=counts,
+            delta_t_sums=delta_t_sums,
+            input_event_count=doc["input_event_count"],
+            input_edge_count=doc["input_edge_count"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"profile is missing key {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed profile: {exc}") from exc
 
 
 def save_profile(profile: TransitionProfile, path) -> None:
@@ -328,5 +351,7 @@ def save_profile(profile: TransitionProfile, path) -> None:
 
 
 def load_profile(path) -> TransitionProfile:
+    """Read a saved profile; a malformed or inconsistent file raises
+    ``ValueError``."""
     with open(path, "r", encoding="ascii") as fh:
         return profile_from_dict(json.load(fh))

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from fractions import Fraction
+from math import lcm
 
-from motifgen import STOP, Event, MotifCode, TemporalGraph, TransitionProfile, encode
+from motifgen import (STOP, Event, MotifCode, TemporalGraph, TransitionProfile,
+                      encode, enumerate_codes)
 from motifgen.extraction import TransitionKey
 
 
@@ -169,23 +172,42 @@ def make_profile(probs: dict[str, dict[str, float]],
                  l_max: int = 4, delta: int = 3600, mu: float = 2.0,
                  input_event_count: int | None = None,
                  input_edge_count: int = 10) -> TransitionProfile:
-    """Assemble a hand-written profile from code strings."""
-    code_probs = {
-        MotifCode.from_string(src): {
-            MotifCode.from_string(dst): p for dst, p in row.items()
-        }
-        for src, row in probs.items()
-    }
-    code_rates: dict[TransitionKey, float] = {}
-    for src, row in probs.items():
-        for dst in row:
-            key = TransitionKey(MotifCode.from_string(src),
-                                MotifCode.from_string(dst))
-            if isinstance(rates, dict):
-                code_rates[key] = rates.get((src, dst), 1.0)
-            else:
-                code_rates[key] = rates
+    """Assemble a hand-written profile from code strings.
+
+    A profile holds counts, so each row becomes counts over a common
+    denominator of its exact fractions and of its mean gaps ``1 / rate``, its
+    remainder stopping at the row's own code; the derived rows and rates then
+    equal the given ones. The stops still missing to reach one per cold
+    timestamp go to the first code without a row that has ``mu`` static
+    edges, which sets the derived ``mu`` exactly when the rows stop nowhere.
+    """
+    def mean_gap(src: str, dst: str) -> Fraction:
+        rate = rates.get((src, dst), 1.0) if isinstance(rates, dict) else rates
+        return Fraction(1 / rate).limit_denominator()
+
     t_ce = t_ce if t_ce is not None else [0]
+    counts: dict[TransitionKey, int] = {}
+    delta_t_sums: dict[TransitionKey, tuple[int, int]] = {}
+    for src, row in probs.items():
+        src_code = MotifCode.from_string(src)
+        fracs = {dst: Fraction(p).limit_denominator() for dst, p in row.items()}
+        gaps = {dst: mean_gap(src, dst) for dst in row}
+        # a multiple of every gap denominator, so that each gap sum is whole
+        total = (lcm(*(f.denominator for f in fracs.values()))
+                 * lcm(*(g.denominator for g in gaps.values())))
+        moved = 0
+        for dst, f in fracs.items():
+            key = TransitionKey(src_code, MotifCode.from_string(dst))
+            counts[key] = n = int(f * total)
+            delta_t_sums[key] = (int(n * gaps[dst]), n)
+            moved += n
+        if moved < total:
+            counts[TransitionKey(src_code, STOP)] = total - moved
+    leftover = len(t_ce) - sum(c for k, c in counts.items() if k.dst is STOP)
+    if leftover > 0:
+        end = next(c for l in range(1, l_max + 1) for c in enumerate_codes(l)
+                   if c.static_edge_count() == mu and c.render() not in probs)
+        counts[TransitionKey(end, STOP)] = leftover
     k_ce = k_ce if k_ce is not None else [(0, 1), (1, 0)]
     if ce_edge_weights is not None:
         weights = ce_edge_weights
@@ -199,12 +221,8 @@ def make_profile(probs: dict[str, dict[str, float]],
         k_ce=k_ce,
         t_ce=list(t_ce),
         ce_edge_weights=weights,
-        probs=code_probs,
-        rates=code_rates,
-        counts={},
-        delta_t_sums={},
-        mu=mu,
-        cold_event_count=len(t_ce),
+        counts=counts,
+        delta_t_sums=delta_t_sums,
         input_event_count=(input_event_count if input_event_count is not None
                            else len(t_ce)),
         input_edge_count=input_edge_count,

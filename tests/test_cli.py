@@ -43,7 +43,7 @@ def test_extract_writes_profile_and_summary(tmp_path):
     assert "cold events: 2" in result.output
     doc = json.loads(out.read_text())
     assert doc["l_max"] == 3
-    assert doc["cold_event_count"] == 2
+    assert len(doc["t_ce"]) == 2
 
 
 def test_extract_rejects_lmax_one(tmp_path):
@@ -110,6 +110,41 @@ def test_generate_runs_default_matches_evaluation_protocol(tmp_path):
                  "--out", tmp_path / "synth.txt")
     assert result.exit_code == 0, result.output
     assert all((tmp_path / f"synth-{i}.txt").exists() for i in range(10))
+
+
+def _unbalanced_profile(text: str) -> str:
+    doc = json.loads(text)
+    doc["k_ce"][0][1] += 1  # one out-stub without an in-stub
+    return json.dumps(doc)
+
+
+def _self_loop_profile(text: str) -> str:
+    # valid, but the one cold node's in- and out-stub can only form a loop
+    doc = json.loads(text)
+    doc.update(k_ce=[[1, 1]], t_ce=[0], ce_edge_weights=[1],
+               counts={"01": {"stop": 1}}, delta_t={})
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda text: text[: len(text) // 2], "column"),
+    (lambda text: json.dumps({"version": 1, "l_max": 3}), "missing key"),
+    (_unbalanced_profile, "unbalanced stub totals"),
+    (_self_loop_profile, "stub matching produced no edges"),
+], ids=["truncated_json", "missing_key", "unbalanced_stubs", "self_loop_only"])
+def test_generate_rejects_broken_profile(tmp_path, corrupt, message):
+    toy = write_toy(tmp_path)
+    profile = tmp_path / "p.json"
+    run("extract", toy, "--lmax", 3, "--delta", 5, "--out", profile)
+    profile.write_text(corrupt(profile.read_text()))
+    result = run("generate", "--profile", profile, "--runs", 1,
+                 "--out", tmp_path / "synth.txt")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: ")
+    assert message in lines[0]
+    assert not (tmp_path / "synth.txt").exists()
 
 
 def test_count_json_and_csv(tmp_path):

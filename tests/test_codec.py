@@ -9,10 +9,8 @@ from motifgen import (
     MotifEncodingError,
     encode,
     enumerate_codes,
-    static_edge_count,
     transition_type_count,
 )
-from motifgen.codec import CODE_01
 
 
 def code(s: str) -> MotifCode:
@@ -33,21 +31,6 @@ def test_encode_rejects_self_loop_and_disconnected():
         encode([(1, 2, 0), (3, 4, 1)])
     with pytest.raises(MotifEncodingError):
         encode([])
-
-
-def test_extend_examples():
-    assert CODE_01.extend(1, 0) == code("0110")
-    assert code("0112").extend(0, 2) == code("011202")
-    with pytest.raises(MotifEncodingError):
-        code("0101").extend(0, 3)  # digit 3 skips 2
-    with pytest.raises(MotifEncodingError):
-        code("0101").extend(1, 1)
-
-
-def test_extend_is_prefix_append():
-    extended = code("0112").extend(2, 0)
-    assert code("0112").is_prefix_of(extended)
-    assert extended.prefix(2) == code("0112")
 
 
 def test_code_invariants_rejected():
@@ -83,7 +66,7 @@ def test_prefix_closure():
     for l in (2, 3, 4):
         smaller = set(enumerate_codes(l - 1))
         for c in enumerate_codes(l):
-            assert c.prefix(l - 1) in smaller
+            assert MotifCode(c.pairs[:-1]) in smaller
 
 
 def test_transition_type_counts():
@@ -102,9 +85,9 @@ def test_enumeration_bounds():
 
 
 def test_static_edge_counts():
-    assert static_edge_count(code("0101")) == 1
-    assert static_edge_count(code("0110")) == 2
-    assert static_edge_count(code("011202")) == len({(0, 1), (1, 2), (0, 2)})
+    assert code("0101").static_edge_count() == 1
+    assert code("0110").static_edge_count() == 2
+    assert code("011202").static_edge_count() == len({(0, 1), (1, 2), (0, 2)})
 
 
 def test_render_parse_round_trip():
@@ -150,4 +133,4 @@ def test_encode_prefixes_chain(seed, length):
     rng = random.Random(seed)
     events = _random_chain(rng, length)
     for k in range(1, len(events)):
-        assert encode(events[:k]).is_prefix_of(encode(events[: k + 1]))
+        assert encode(events[: k + 1]).pairs[:k] == encode(events[:k]).pairs

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -5,17 +6,21 @@ import pytest
 
 from motifgen import (
     STOP,
+    GenerationConfig,
     MotifCode,
     TemporalGraph,
     cold_event_fraction,
     extract_profile,
+    generate,
     load_profile,
     observed_transition_type_count,
     save_profile,
+    write_events,
 )
-from motifgen.extraction import TransitionKey
+from motifgen.extraction import TransitionKey, profile_from_dict, profile_to_dict
 
 from helpers import oracle_extract, profile_counts_as_oracle, random_stream
+from surrogate import desk_scale_stream
 
 
 def code(s: str) -> MotifCode:
@@ -125,8 +130,7 @@ def test_observed_keys_respect_prefix_relation():
     for key in profile.counts:
         if key.dst is STOP:
             continue
-        assert key.src.is_prefix_of(key.dst)
-        assert key.dst.l == key.src.l + 1
+        assert key.dst.pairs[:-1] == key.src.pairs
 
 
 def test_zero_gap_transition_floors_rate():
@@ -190,8 +194,85 @@ def test_profile_round_trip(tmp_path):
 
 
 def test_profile_version_check(tmp_path):
-    import json
     path = tmp_path / "profile.json"
     path.write_text(json.dumps({"version": 99}))
     with pytest.raises(ValueError):
         load_profile(path)
+
+
+def test_saved_profile_stores_each_number_once(tmp_path):
+    profile = extract_profile(TOY_STREAM, delta=5, l_max=3)
+    path = tmp_path / "profile.json"
+    save_profile(profile, path)
+    doc = json.loads(path.read_text())
+    assert doc["version"] == 2
+    assert not {"probs", "rates", "mu", "cold_event_count"} & set(doc)
+
+
+def _shifted(g: TemporalGraph, offset: int) -> TemporalGraph:
+    return TemporalGraph.from_events([(e.src + offset, e.dst + offset, e.t)
+                                      for e in g.events])
+
+
+EDGE_CASE_STREAMS = {
+    "one_event": lambda: TemporalGraph.from_events([(3, 4, 100)]),
+    "equal_timestamps": lambda: random_stream(
+        random.Random(12), n_events=40, n_nodes=6, t_max=1),
+    "huge_node_ids": lambda: _shifted(
+        random_stream(random.Random(13), n_events=80, n_nodes=8, t_max=400),
+        2**62),
+    "dense": lambda: desk_scale_stream(n_events=1500, n_nodes=300,
+                                       mean_iet=10.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASE_STREAMS))
+def test_edge_case_profiles_round_trip(tmp_path, name):
+    profile = extract_profile(EDGE_CASE_STREAMS[name](), delta=3600, l_max=4)
+    path = tmp_path / "profile.json"
+    save_profile(profile, path)
+    loaded = load_profile(path)
+    assert loaded == profile
+    assert loaded.probs == profile.probs
+    assert loaded.rates == profile.rates
+    assert loaded.mu == profile.mu
+    for seed in (1, 2):
+        config = GenerationConfig(seed=seed)
+        assert (write_events(generate(loaded, config))
+                == write_events(generate(profile, config)))
+
+
+_DELETE = object()
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (["k_ce", 0, 1], 2, "unbalanced stub totals"),
+    (["ce_edge_weights"], [2], "one weight per cold static edge"),
+    (["ce_edge_weights"], [2, 0], "cold edge weights: expected integers >= 1"),
+    (["ce_edge_weights"], [1, 2], "cold edge weights sum to 3"),
+    (["counts", "01", "0102"], 0, "transition counts: expected integers >= 1"),
+    (["counts", "0102"], {"011202": 1}, "does not extend"),
+    (["l_max"], 2, "within l_max 2"),
+    (["delta_t", "01", "0112"], [3, 2], "gap count of 01 -> 0112"),
+    (["delta_t", "0102", "010203"], [1, 1], "gap sums listed"),
+    (["counts", "010202", "stop"], 2, "stop counts total 3"),
+    (["version"], 3, "unsupported profile version 3"),
+    (["t_ce"], _DELETE, "missing key 't_ce'"),
+    (["counts"], [], "malformed profile"),
+    (["t_ce"], ["1", 7], "cold timestamps: expected integers"),
+], ids=["stub_balance", "weight_per_edge", "weights_positive", "weights_sum",
+        "counts_positive", "dst_extends_src", "dst_within_l_max",
+        "gap_count", "gap_without_count", "stop_total", "version",
+        "missing_key", "wrong_type", "timestamp_type"])
+def test_broken_profile_rejected(path, value, message):
+    doc = profile_to_dict(extract_profile(TOY_STREAM, delta=5, l_max=3))
+    profile_from_dict(doc)  # the unbroken document loads
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with pytest.raises(ValueError, match=message):
+        profile_from_dict(doc)

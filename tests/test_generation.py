@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -8,13 +9,15 @@ from scipy import stats as sps
 from motifgen import (
     CODE_01,
     GenerationConfig,
-    GenerationError,
     MotifCode,
+    TemporalGraph,
     encode,
     extract_profile,
     generate,
     generate_cold_events,
+    load_profile,
     new_edge_probability,
+    save_profile,
     simulate,
     write_events,
 )
@@ -51,10 +54,10 @@ def test_cold_events_preserve_timestamps_and_stub_totals():
 
 
 def test_unbalanced_stub_totals_rejected():
-    profile = make_profile({}, k_ce=[(0, 2), (1, 0)], t_ce=[1, 2],
-                           ce_edge_weights=[1, 1])
-    with pytest.raises(GenerationError):
-        generate_cold_events(profile, _stream(0, 0))
+    # no such profile can be built, so generation never sees one
+    with pytest.raises(ValueError, match="unbalanced stub totals"):
+        make_profile({}, k_ce=[(0, 2), (1, 0)], t_ce=[1, 2],
+                     ce_edge_weights=[1, 1])
 
 
 def test_stub_matching_uniform_over_admissible_wirings():
@@ -195,7 +198,7 @@ def test_single_process_codes_are_row_supported():
         full = encode(events)
         assert full.l <= profile.l_max
         for k in range(1, full.l):
-            src, dst = full.prefix(k), full.prefix(k + 1)
+            src, dst = MotifCode(full.pairs[:k]), MotifCode(full.pairs[:k + 1])
             assert profile.probs[src][dst] > 0, (
                 "emitted events realize an unsampled transition")
 
@@ -242,13 +245,6 @@ def test_generate_is_deterministic_per_seed():
     assert write_events(out_c) != write_events(out_a)
 
 
-def test_config_l_max_must_match_profile():
-    profile = make_profile({"01": {"0110": 1.0}}, l_max=2)
-    from motifgen import Event
-    with pytest.raises(GenerationError):
-        simulate(profile, [Event(0, 1, 0)], GenerationConfig(seed=0, l_max=3))
-
-
 def test_generated_graph_is_time_sorted_and_loopless():
     rng = random.Random(90)
     g = random_stream(rng, n_events=300, n_nodes=10, t_max=2000)
@@ -258,3 +254,51 @@ def test_generated_graph_is_time_sorted_and_loopless():
     assert ts == sorted(ts)
     assert all(e.src != e.dst for e in out.events)
     assert len(out.events) >= profile.cold_event_count
+
+
+# ------------------------------------------------------------ pinned bytes
+
+def _digest(g: TemporalGraph) -> str:
+    return hashlib.sha256(write_events(g).encode("ascii")).hexdigest()
+
+
+def test_generated_bytes_are_pinned(tmp_path):
+    # any change to the sampler, the profile or its format that alters the
+    # output shows up here, even when the statistics still pass
+    g = random_stream(random.Random(2026), n_events=200, n_nodes=12, t_max=1500)
+    profile = extract_profile(g, delta=90, l_max=4)
+    path = tmp_path / "profile.json"
+    save_profile(profile, path)
+    for p in (profile, load_profile(path)):
+        assert _digest(generate(p, GenerationConfig(seed=7))) == (
+            "13b7c9a1366af7e51c653abb8cad95f299527c9498a7a43aba2459ef489cd844")
+
+
+# the toy stream of test_extraction at delta=5, l_max=3, as the version 1
+# writer saved it (derived probs, rates, mu and cold count included)
+TOY_EVENTS = [(11, 12, 1), (12, 10, 4), (11, 10, 5), (10, 12, 7), (10, 11, 8),
+              (10, 11, 9)]
+TOY_PROFILE_V1 = (
+    '{"version": 1, "l_max": 3, "delta": 5, "mu": 2.5, "cold_event_count": 2,'
+    ' "input_event_count": 6, "input_edge_count": 5,'
+    ' "k_ce": [[0, 1], [0, 1], [2, 0]], "t_ce": [1, 7], "ce_edge_weights": [1, 1],'
+    ' "probs": {"01": {"0102": 0.5, "0112": 0.5}, "0102": {"010202": 1.0},'
+    ' "0112": {"011202": 1.0}},'
+    ' "rates": {"01": {"0102": 1.0, "0112": 0.3333333333333333},'
+    ' "0102": {"010202": 1.0}, "0112": {"011202": 1.0}},'
+    ' "counts": {"01": {"0102": 1, "0112": 1}, "0102": {"010202": 1},'
+    ' "0112": {"011202": 1}, "010202": {"stop": 1}, "011202": {"stop": 1}},'
+    ' "delta_t": {"01": {"0102": [1, 1], "0112": [3, 1]},'
+    ' "0102": {"010202": [1, 1]}, "0112": {"011202": [1, 1]}}}')
+
+
+def test_version_1_profile_loads_and_generates_the_same_bytes(tmp_path):
+    path = tmp_path / "toy_v1.json"
+    path.write_text(TOY_PROFILE_V1)
+    loaded = load_profile(path)
+    extracted = extract_profile(TemporalGraph.from_events(TOY_EVENTS),
+                                delta=5, l_max=3)
+    assert loaded == extracted
+    for p in (loaded, extracted):
+        assert _digest(generate(p, GenerationConfig(seed=1))) == (
+            "6b511b5eb00677bc3172509b14db5b74bd59828836cdd8e28a75bedb371e1ad1")
