@@ -81,7 +81,8 @@ def extract(input_path: str, lmax: int, delta: int, out_path: str):
 @main.command(name="generate")
 @click.option("--profile", "profile_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED,
+              show_default=True)
 @click.option("--runs", type=int, default=DEFAULT_RUNS, show_default=True,
               help="Number of graphs to generate (seeds seed..seed+runs-1).")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False),

@@ -179,8 +179,17 @@ def transition_type_count(l_max: int) -> int:
 
     Each transition into an (l+1)-event type is determined by that type, so
     the total is the sum of the spectrum sizes for l = 2..l_max: 6, 66, 954
-    for l_max = 2, 3, 4.
+    for l_max = 2, 3, 4. The sizes come from a recurrence, not enumeration:
+    a code on ``n`` nodes has ``n(n-1)`` extensions that keep ``n`` nodes
+    and ``2n`` that add one.
     """
     if l_max < 2:
         raise ValueError("l_max must be at least 2")
-    return sum(len(_enumerate_pairs(l)) for l in range(2, l_max + 1))
+    sizes = {2: 1}  # spectrum size by node count; l = 1 is the code 01
+    total = 0
+    for _ in range(2, l_max + 1):
+        sizes = {n: sizes.get(n, 0) * n * (n - 1)
+                 + sizes.get(n - 1, 0) * 2 * (n - 1)
+                 for n in range(2, max(sizes) + 2)}
+        total += sum(sizes.values())
+    return total

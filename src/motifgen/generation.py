@@ -6,7 +6,9 @@ shuffled onto those edges, and the original cold timestamps are dealt out
 accordingly. Each cold event then seeds a simulated transition process that
 walks the extracted probability rows, draws exponential inter-event gaps
 from the matching rates, and resolves new-node digits to concrete endpoints
-through the shared output state.
+through the shared output state. One generator, seeded once per generated
+graph, supplies every random draw: first the cold events, then the
+processes in cold-event order.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ import numpy as np
 from .codec import CODE_01, MotifCode
 from .events import Event, TemporalGraph
 from .extraction import TransitionKey, TransitionProfile
-
-_COLD_STREAM = 0
-_PROCESS_STREAM = 1
 
 _SHUFFLE_TRIES = 100
 _PAIR_TRIES = 100
@@ -36,11 +35,6 @@ class GenerationConfig:
     """The seed that makes a run reproducible."""
 
     seed: int
-
-
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    """Independent RNG stream for (seed, key); order of use is irrelevant."""
-    return np.random.default_rng(np.random.SeedSequence((seed, *key)))
 
 
 def _match_stubs(out_stubs: list[int], in_stubs: list[int],
@@ -130,15 +124,10 @@ def generate_cold_events(profile: TransitionProfile,
     if not pairs:
         raise GenerationError("stub matching produced no edges")
 
-    weights = list(profile.ce_edge_weights)
-    if len(pairs) == len(weights):
-        assigned = [weights[j] for j in rng.permutation(len(weights))]
-    else:
-        take = rng.choice(len(weights), size=len(pairs), replace=False)
-        assigned = [weights[j] for j in take]
-        deficit = sum(weights) - sum(assigned)
-        for _ in range(deficit):  # dropped pairs: spread their events around
-            assigned[int(rng.integers(len(assigned)))] += 1
+    weights = profile.ce_edge_weights
+    assigned = [weights[j] for j in rng.permutation(len(weights))[:len(pairs)]]
+    for _ in range(sum(weights) - sum(assigned)):  # events of dropped pairs
+        assigned[int(rng.integers(len(assigned)))] += 1
 
     ts = [profile.t_ce[j] for j in rng.permutation(len(profile.t_ce))]
     events: list[Event] = []
@@ -242,12 +231,12 @@ def _sample_next(row: dict[MotifCode, float], u: float) -> MotifCode | None:
 
 
 def simulate(profile: TransitionProfile, cold_events: list[Event],
-             config: GenerationConfig) -> TemporalGraph:
+             rng: np.random.Generator) -> TemporalGraph:
     """Grow every cold event into a transition process and emit the result.
 
     Timestamps are kept real-valued while a process grows (so within-process
-    order is exact) and rounded to integer seconds on output. Each process
-    draws from its own RNG stream derived from (seed, cold-event index).
+    order is exact) and rounded to integer seconds on output. The processes
+    run in cold-event order and all draw from ``rng``.
     """
     state = OutputState(new_edge_probability(
         profile,
@@ -255,8 +244,7 @@ def simulate(profile: TransitionProfile, cold_events: list[Event],
         n_cold_events=len(cold_events),
     ))
     raw: list[tuple[int, int, float]] = []
-    for i, cold in enumerate(cold_events):
-        rng = _stream(config.seed, _PROCESS_STREAM, i)
+    for cold in cold_events:
         state.add_event(cold.src, cold.dst)
         raw.append((cold.src, cold.dst, float(cold.t)))
         nodes_v = [cold.src, cold.dst]
@@ -295,5 +283,5 @@ def simulate(profile: TransitionProfile, cold_events: list[Event],
 def generate(profile: TransitionProfile, config: GenerationConfig) -> TemporalGraph:
     """Cold-event synthesis followed by process simulation; deterministic
     for a fixed (profile, seed)."""
-    cold = generate_cold_events(profile, _stream(config.seed, _COLD_STREAM))
-    return simulate(profile, cold, config)
+    rng = np.random.default_rng(config.seed)
+    return simulate(profile, generate_cold_events(profile, rng), rng)

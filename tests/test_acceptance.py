@@ -292,7 +292,7 @@ def test_criterion_9_sampler_statistics():
     n = 10_000
     outcomes = Counter()
     for seed in range(n):
-        out = simulate(branch, [Event(0, 1, 0)], GenerationConfig(seed=seed))
+        out = simulate(branch, [Event(0, 1, 0)], np.random.default_rng(seed))
         outcomes[encode(out.events).render()] += 1
     freq = outcomes["011202"] / n
     sigma = (0.6 * 0.4 / n) ** 0.5
@@ -303,9 +303,9 @@ def test_criterion_9_sampler_statistics():
     expo = make_profile({"01": {"0110": 1.0}}, rates={("01", "0110"): rate},
                         l_max=2, k_ce=[(0, 1), (1, 0)], t_ce=[0] * n,
                         ce_edge_weights=[n])
-    from motifgen.generation import _stream, generate_cold_events
-    cold = generate_cold_events(expo, _stream(0, 0))
-    out = simulate(expo, cold, GenerationConfig(seed=0))
+    from motifgen.generation import generate_cold_events
+    cold = generate_cold_events(expo, np.random.default_rng(0))
+    out = simulate(expo, cold, np.random.default_rng(0))
     gaps = [e.t for e in out.events if (e.src, e.dst) == (1, 0)]
     mean_gap = float(np.mean(gaps))
     se = float(np.std(gaps, ddof=1)) / n ** 0.5

@@ -53,6 +53,15 @@ def test_extract_rejects_lmax_one(tmp_path):
     assert result.exit_code != 0
 
 
+def test_extract_large_lmax_reports_the_possible_types(tmp_path):
+    toy = write_toy(tmp_path, content="1 2 1\n2 3 2\n3 1 3\n1 3 4\n2 1 5\n")
+    out = tmp_path / "p.json"
+    result = run("extract", toy, "--lmax", 9, "--delta", 5, "--out", out)
+    assert result.exit_code == 0, result.output
+    assert "of 28474026186 possible" in result.output
+    assert json.loads(out.read_text())["l_max"] == 9
+
+
 def test_extract_reports_self_loops(tmp_path):
     toy = write_toy(tmp_path, content="1 1 0\n" + TOY)
     result = run("extract", toy, "--lmax", 3, "--delta", 5,
@@ -73,6 +82,19 @@ def test_generate_is_reproducible(tmp_path):
         assert result.exit_code == 0, result.output
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
     assert digests[0] == digests[1]
+
+
+def test_generate_rejects_negative_seed(tmp_path):
+    toy = write_toy(tmp_path)
+    profile = tmp_path / "p.json"
+    run("extract", toy, "--lmax", 3, "--delta", 5, "--out", profile)
+    result = run("generate", "--profile", profile, "--seed", -1,
+                 "--out", tmp_path / "g.txt")
+    assert result.exit_code == 2
+    assert "Usage:" in result.output
+    assert "--seed" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "g.txt").exists()
 
 
 def test_generate_multiple_runs(tmp_path):

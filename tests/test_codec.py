@@ -73,6 +73,11 @@ def test_transition_type_counts():
     assert transition_type_count(2) == 6
     assert transition_type_count(3) == 66
     assert transition_type_count(4) == 954
+    for l_max in range(2, 6):
+        assert transition_type_count(l_max) == sum(
+            len(enumerate_codes(l)) for l in range(2, l_max + 1))
+    # beyond the enumerable sizes the count still comes back at once
+    assert transition_type_count(9) == 28_474_026_186
 
 
 def test_enumeration_bounds():

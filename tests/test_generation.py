@@ -21,7 +21,8 @@ from motifgen import (
     simulate,
     write_events,
 )
-from motifgen.generation import OutputState, _stream, select_edge_for_new_digit
+from motifgen.generation import (OutputState, _repair_wedge,
+                                 select_edge_for_new_digit)
 
 from helpers import make_profile, random_stream
 
@@ -35,7 +36,7 @@ def code(s: str) -> MotifCode:
 def test_forced_single_edge():
     profile = make_profile({}, k_ce=[(0, 1), (1, 0)], t_ce=[5],
                            ce_edge_weights=[1])
-    events = generate_cold_events(profile, _stream(0, 0))
+    events = generate_cold_events(profile, np.random.default_rng(0))
     assert [tuple(e) for e in events] == [(0, 1, 5)]
 
 
@@ -44,13 +45,37 @@ def test_cold_events_preserve_timestamps_and_stub_totals():
     g = random_stream(rng, n_events=300, n_nodes=15, t_max=2000)
     profile = extract_profile(g, delta=100, l_max=3)
     for seed in range(5):
-        events = generate_cold_events(profile, _stream(seed, 0))
+        events = generate_cold_events(profile, np.random.default_rng(seed))
         assert len(events) == len(profile.t_ce)
         assert sorted(e.t for e in events) == sorted(profile.t_ce)
         assert sum(out for _ind, out in profile.k_ce) == len(
             {(e.src, e.dst) for e in events})
         assert all(e.src != e.dst for e in events)
         assert [e.t for e in events] == sorted(e.t for e in events)
+
+
+def test_dropped_stub_pair_events_are_spread_over_placed_pairs():
+    # node 0 has two out- and two in-stubs, node 1 one of each: one of the
+    # three stub pairs can only be a self-loop or a duplicate, so it drops
+    profile = make_profile({}, k_ce=[(2, 2), (1, 1)], t_ce=[10, 20, 30, 40],
+                           ce_edge_weights=[1, 1, 2])
+    for seed in range(20):
+        events = generate_cold_events(profile, np.random.default_rng(seed))
+        assert len(events) == 4
+        assert sorted(e.t for e in events) == [10, 20, 30, 40]
+        assert all(e.src != e.dst for e in events)
+        assert {(e.src, e.dst) for e in events} <= {(0, 1), (1, 0)}
+
+
+def test_repair_wedge_retargets_a_placed_pair():
+    # out-stub 0 has only in-stub 0 left; the placed pair (2, 1) takes that
+    # in-stub instead and hands its partner 1 to out-stub 0
+    ins = [1, 0]
+    edges = {(2, 1)}
+    pairs = [(2, 1)]
+    assert _repair_wedge(0, ins, 1, 2, edges, pairs) is True
+    assert pairs == [(2, 0), (0, 1)]
+    assert edges == set(pairs)
 
 
 def test_unbalanced_stub_totals_rejected():
@@ -75,7 +100,7 @@ def test_stub_matching_uniform_over_admissible_wirings():
     runs = 1000
     seen: Counter = Counter()
     for seed in range(runs):
-        events = generate_cold_events(profile, _stream(seed, 0))
+        events = generate_cold_events(profile, np.random.default_rng(seed))
         wiring = frozenset((e.src, e.dst) for e in events)
         assert wiring in admissible
         seen[wiring] += 1
@@ -107,7 +132,7 @@ def _state_with(edges, new_edge_p):
 
 def test_reuse_branch_picks_existing_edge_outside_motif():
     state = _state_with([(1, 2), (1, 3), (4, 1)], new_edge_p=0.0)
-    rng = _stream(3, 0)
+    rng = np.random.default_rng(3)
     for _ in range(20):
         assert select_edge_for_new_digit(state, 1, "out", {1, 2}, rng) == 3
         assert select_edge_for_new_digit(state, 1, "in", {1, 2}, rng) == 4
@@ -116,7 +141,7 @@ def test_reuse_branch_picks_existing_edge_outside_motif():
 def test_reuse_falls_back_to_creation_when_no_candidate():
     # node 1's only out-partner is inside the motif; must create instead
     state = _state_with([(1, 2), (5, 6)], new_edge_p=0.0)
-    rng = _stream(4, 0)
+    rng = np.random.default_rng(4)
     for _ in range(20):
         partner = select_edge_for_new_digit(state, 1, "out", {1, 2}, rng)
         assert partner in {5, 6}  # outside motif, no (1, partner) edge yet
@@ -124,7 +149,7 @@ def test_reuse_falls_back_to_creation_when_no_candidate():
 
 def test_creation_branch_avoids_linked_and_motif_nodes():
     state = _state_with([(1, 2), (1, 3), (4, 5)], new_edge_p=1.0)
-    rng = _stream(5, 0)
+    rng = np.random.default_rng(5)
     for _ in range(50):
         partner = select_edge_for_new_digit(state, 1, "out", {1, 2}, rng)
         assert partner not in {1, 2}       # outside the motif
@@ -134,7 +159,7 @@ def test_creation_branch_avoids_linked_and_motif_nodes():
 
 def test_creation_mints_fresh_node_when_exhausted():
     state = _state_with([(1, 2)], new_edge_p=1.0)
-    rng = _stream(6, 0)
+    rng = np.random.default_rng(6)
     partner = select_edge_for_new_digit(state, 1, "out", {1, 2}, rng)
     assert partner == 3  # next unused id
 
@@ -161,8 +186,8 @@ def test_exponential_transition_times():
         t_ce=[0] * n,
         ce_edge_weights=[n],
     )
-    cold = generate_cold_events(profile, _stream(0, 0))
-    out = simulate(profile, cold, GenerationConfig(seed=0))
+    cold = generate_cold_events(profile, np.random.default_rng(0))
+    out = simulate(profile, cold, np.random.default_rng(0))
     gaps = [e.t for e in out.events if (e.src, e.dst) == (1, 0)]
     assert len(gaps) == n
     assert np.mean(gaps) == pytest.approx(4.0, rel=0.10)
@@ -178,7 +203,7 @@ def test_branch_frequencies_match_rows():
     n = 10_000
     outcomes: Counter = Counter()
     for seed in range(n):
-        out = simulate(profile, [Event(0, 1, 0)], GenerationConfig(seed=seed))
+        out = simulate(profile, [Event(0, 1, 0)], np.random.default_rng(seed))
         outcomes[encode(out.events).render()] += 1
     freq_triangle = outcomes["011202"] / n
     freq_star = outcomes["011213"] / n
@@ -192,7 +217,7 @@ def test_single_process_codes_are_row_supported():
     profile = extract_profile(g, delta=120, l_max=4)
     from motifgen import Event
     for seed in range(200):
-        out = simulate(profile, [Event(1, 2, 0)], GenerationConfig(seed=seed))
+        out = simulate(profile, [Event(1, 2, 0)], np.random.default_rng(seed))
         events = list(out.events)
         assert [e.t for e in events] == sorted(e.t for e in events)
         full = encode(events)
@@ -271,7 +296,7 @@ def test_generated_bytes_are_pinned(tmp_path):
     save_profile(profile, path)
     for p in (profile, load_profile(path)):
         assert _digest(generate(p, GenerationConfig(seed=7))) == (
-            "13b7c9a1366af7e51c653abb8cad95f299527c9498a7a43aba2459ef489cd844")
+            "9debd06de04e158688984262aba265fa4fd64d9b78c5948dff0b669435f32f36")
 
 
 # the toy stream of test_extraction at delta=5, l_max=3, as the version 1
@@ -301,4 +326,4 @@ def test_version_1_profile_loads_and_generates_the_same_bytes(tmp_path):
     assert loaded == extracted
     for p in (loaded, extracted):
         assert _digest(generate(p, GenerationConfig(seed=1))) == (
-            "6b511b5eb00677bc3172509b14db5b74bd59828836cdd8e28a75bedb371e1ad1")
+            "c2aa07469d1d0dc5b88e5c92a4567cf62b21c5b6b89007859d93a26f2286696a")
