@@ -64,7 +64,10 @@ def extract(input_path: str, lmax: int, delta: int, out_path: str):
     if delta <= 0:
         raise click.UsageError("--delta must be positive")
     g = _load(input_path)
-    profile = extract_profile(g, delta=delta, l_max=lmax)
+    try:
+        profile = extract_profile(g, delta=delta, l_max=lmax)
+    except ValueError as exc:  # e.g. no events left after parsing
+        raise click.ClickException(f"{input_path}: {exc}")
     save_profile(profile, out_path)
     if g.dropped_self_loops:
         click.echo(f"dropped self-loops: {g.dropped_self_loops}")
@@ -201,9 +204,9 @@ def _echo_summary(report: dict) -> None:
     gs = report["global_stats"]
     for metric in GLOBAL_METRICS:
         ratio = gs["ratios"][metric]
+        shown = "undefined" if ratio is None else f"{ratio:.3f}"
         click.echo(f"{metric:<20}{gs['original'][metric]:>14.2f}"
-                   f"{gs['synthetic_mean'][metric]:>14.2f}"
-                   f"{ratio if ratio is None else format(ratio, '.3f'):>10}")
+                   f"{gs['synthetic_mean'][metric]:>14.2f}{shown:>10}")
     for name, value in report["ks"].items():
         click.echo(f"KS {name:<17}{value:>14.4f}")
     for l, entry in report["msre"].items():

@@ -17,10 +17,8 @@ are monotone in time, so then every event of the instance lies inside it.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,8 +26,6 @@ from .codec import MotifCode
 from .events import TemporalGraph
 
 MAX_COUNT_EVENTS = 4  # l >= 5 counting is out of scope
-
-WORKERS_ENV_VAR = "MOTIFGEN_WORKERS"
 
 
 @dataclass
@@ -68,8 +64,8 @@ def _unpack(code: int, l: int) -> tuple[tuple[int, int], ...]:
 
 
 class _Walk:
-    """One graph's per-node event index and the state of a walk over some of
-    its root events. An object, as recursive closures would form a reference
+    """One graph's per-node event index and the state of a walk over its
+    root events. An object, as recursive closures would form a reference
     cycle that keeps the index alive until the next garbage collection."""
 
     def __init__(self, g: TemporalGraph, levels: tuple[int, ...], delta_c: int,
@@ -134,45 +130,28 @@ class _Walk:
             for _ in range(len(digit_of) - nodes):
                 digit_of.popitem()  # digits unwind last in, first out
 
-    def run(self, roots: range) -> tuple[list[Counter], list[list[int]]]:
+    def run(self) -> tuple[list[Counter], list[list[int]]]:
         self.counts = [Counter() for _ in range(self.levels[-1] + 1)]
         self.windows = [[0] * self.window_count for _ in self.counts]
-        for root in roots:  # digit_of: the motif's nodes in digit order
+        for root in range(len(self.ts)):  # digit_of: nodes in digit order
             self.root, self.digit_of = root, {self.src[root]: 0, self.dst[root]: 1}
             self.grow(root, 1, 2)  # 1 packs the root's pair (0, 1)
         return self.counts, self.windows
 
 
 def count_spectra(g: TemporalGraph, l_set: Sequence[int], delta_c: int,
-                  inclusive: bool = True, window_count: int = 0,
-                  workers: int | None = None) -> dict[int, SpectrumCounts]:
+                  inclusive: bool = True,
+                  window_count: int = 0) -> dict[int, SpectrumCounts]:
     """Count the motif instances of ``g`` at every size in ``l_set`` with one
     walk per root event, and with ``window_count`` > 0 their per-window totals.
 
     ``inclusive`` counts gaps equal to ``delta_c`` as inside the ceiling.
-    ``workers`` > 1 splits the root events over processes (associative
-    merge, same result); defaults to the MOTIFGEN_WORKERS env var or 1.
     """
     check_count_args(l_set, delta_c)
     if window_count < 0:
         raise ValueError(f"window_count must not be negative, got {window_count}")
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
     levels = tuple(sorted(set(l_set)))
-    walk = _Walk(g, levels, delta_c, inclusive, window_count)
-
-    n = len(g.events)
-    if workers > 1 and n > 1:
-        ranges = [range(i, n, workers) for i in range(min(workers, n))]
-        counts, windows = walk.run(range(0))  # empty totals to merge into
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part_counts, part_windows in pool.map(walk.run, ranges):
-                for l in levels:
-                    counts[l].update(part_counts[l])
-                    windows[l] = [a + b for a, b in zip(windows[l], part_windows[l])]
-    else:
-        counts, windows = walk.run(range(n))
-
+    counts, windows = _Walk(g, levels, delta_c, inclusive, window_count).run()
     return {l: SpectrumCounts(l, delta_c, {MotifCode(_unpack(code, l)): c
                                            for code, c in counts[l].items()},
                               inclusive, windows[l])
@@ -180,10 +159,9 @@ def count_spectra(g: TemporalGraph, l_set: Sequence[int], delta_c: int,
 
 
 def count_motifs(g: TemporalGraph, l: int, delta_c: int,
-                 inclusive: bool = True, workers: int | None = None) -> SpectrumCounts:
+                 inclusive: bool = True) -> SpectrumCounts:
     """Count all ``l``-event motif instances of ``g`` under ``delta_c``: the
     one-size, windowless case of :func:`count_spectra`, with its ``inclusive``
-    and ``workers`` semantics. For several sizes of one graph, call that once.
+    semantics. For several sizes of one graph, call that once.
     """
-    return count_spectra(g, (l,), delta_c, inclusive=inclusive,
-                         workers=workers)[l]
+    return count_spectra(g, (l,), delta_c, inclusive=inclusive)[l]

@@ -153,7 +153,8 @@ def _validate(p: TransitionProfile) -> None:
                          f"not the {len(p.t_ce)} cold events")
     if len(p.delta_t_sums) != transitions:
         raise ValueError("gap sums listed for a transition without a count")
-    _check_ints("gap sums", (s for s, _n in p.delta_t_sums.values()), 0)
+    _check_ints("gap sums and counts",
+                (v for pair in p.delta_t_sums.values() for v in pair), 0)
 
 
 class _Proc:

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import motifgen
 from motifgen import write_events
 from motifgen.cli import main
 
@@ -60,6 +65,19 @@ def test_extract_large_lmax_reports_the_possible_types(tmp_path):
     assert result.exit_code == 0, result.output
     assert "of 28474026186 possible" in result.output
     assert json.loads(out.read_text())["l_max"] == 9
+
+
+@pytest.mark.parametrize("content", ["# x\n", "1 1 5\n"],
+                         ids=["comments_only", "self_loops_only"])
+def test_extract_rejects_an_empty_edge_list(tmp_path, content):
+    path = write_toy(tmp_path, content=content)
+    out = tmp_path / "p.json"
+    result = run("extract", path, "--out", out)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output == (f"Error: {path}: cannot extract a profile "
+                             "from an empty graph\n")
+    assert not out.exists()
 
 
 def test_extract_reports_self_loops(tmp_path):
@@ -208,6 +226,20 @@ def test_compare_self_is_zero_error(tmp_path):
     assert report["msre"]["2"]["total"] == 0.0
 
 
+def test_compare_prints_undefined_ratios(tmp_path):
+    one = write_toy(tmp_path, content="1 2 5\n")  # a zero timespan and IET
+    report_path = tmp_path / "report.json"
+    result = run("compare", one, one, "--out", report_path)
+    assert result.exit_code == 0, result.output
+    ratios = json.loads(report_path.read_text())["global_stats"]["ratios"]
+    assert ratios["timespan_seconds"] is None and ratios["mean_iet"] is None
+    lines = result.output.splitlines()
+    for metric in ("timespan_seconds", "mean_iet"):
+        row = next(line for line in lines if line.startswith(metric))
+        assert row.endswith(" undefined")
+    assert lines[-1] == f"report written to {report_path}"
+
+
 def test_compare_csv_tables(tmp_path):
     toy = write_toy(tmp_path)
     report_path = tmp_path / "report.json"
@@ -243,3 +275,14 @@ def test_malformed_input_nonzero_exit(tmp_path):
     result = run("stats", bad)
     assert result.exit_code != 0
     assert "line 1" in result.output
+
+
+def test_cli_starts_without_multiprocessing():
+    src = str(Path(motifgen.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, motifgen.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

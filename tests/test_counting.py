@@ -111,22 +111,6 @@ def test_overlapping_instances_are_all_counted():
     assert counts.counts[code("0112")] == 2
 
 
-def test_worker_split_merges_to_same_result():
-    rng = random.Random(4242)
-    g = random_stream(rng, n_events=60, n_nodes=8, t_max=90)
-    seq = count_motifs(g, 3, 15, workers=1)
-    par = count_motifs(g, 3, 15, workers=2)
-    assert seq.counts == par.counts
-
-
-def test_worker_count_env_override(monkeypatch):
-    rng = random.Random(4243)
-    g = random_stream(rng, n_events=40, n_nodes=6, t_max=60)
-    baseline = count_motifs(g, 2, 12)
-    monkeypatch.setenv("MOTIFGEN_WORKERS", "2")
-    assert count_motifs(g, 2, 12).counts == baseline.counts
-
-
 def test_by_string_is_sorted_and_complete():
     g = TemporalGraph.from_events([(1, 2, 0), (2, 1, 1), (1, 2, 2)])
     counts = count_motifs(g, 2, 10)
@@ -166,17 +150,6 @@ def test_spectra_windows_match_rebuilt_subgraphs(inclusive):
         for l in (2, 3, 4):
             assert spectra[l].windows == window_totals(
                 g, l, delta_c, window_count, inclusive)
-
-
-def test_spectra_worker_split_matches_sequential():
-    rng = random.Random(4244)
-    g = random_stream(rng, n_events=60, n_nodes=8, t_max=90)
-    seq = count_spectra(g, (2, 3, 4), 15, window_count=7, workers=1)
-    par = count_spectra(g, (2, 3, 4), 15, window_count=7, workers=2)
-    for l in (2, 3, 4):
-        assert par[l].counts == seq[l].counts
-        assert par[l].windows == seq[l].windows
-        assert sum(seq[l].windows) > 0
 
 
 @pytest.mark.parametrize("events", [[], [(1, 2, 5)]])

@@ -260,10 +260,13 @@ _DELETE = object()
     (["t_ce"], _DELETE, "missing key 't_ce'"),
     (["counts"], [], "malformed profile"),
     (["t_ce"], ["1", 7], "cold timestamps: expected integers"),
+    (["delta_t", "01", "0102"], [1, 1.0], "gap sums and counts: expected integers"),
+    (["delta_t", "01", "0102"], [1, True], "gap sums and counts: expected integers"),
 ], ids=["stub_balance", "weight_per_edge", "weights_positive", "weights_sum",
         "counts_positive", "dst_extends_src", "dst_within_l_max",
         "gap_count", "gap_without_count", "stop_total", "version",
-        "missing_key", "wrong_type", "timestamp_type"])
+        "missing_key", "wrong_type", "timestamp_type", "gap_count_float",
+        "gap_count_bool"])
 def test_broken_profile_rejected(path, value, message):
     doc = profile_to_dict(extract_profile(TOY_STREAM, delta=5, l_max=3))
     profile_from_dict(doc)  # the unbroken document loads
