@@ -23,20 +23,11 @@ class MotifEncodingError(ValueError):
 
 
 class _StopState:
-    """Sentinel for the terminal state of a transition process."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Sentinel for the terminal state of a transition process; ``STOP`` is
+    its one instance."""
 
     def __repr__(self) -> str:
         return "STOP"
-
-    def __reduce__(self):  # keep singleton identity across pickling
-        return (_StopState, ())
 
 
 STOP = _StopState()

@@ -1,11 +1,15 @@
 import gc
+import hashlib
 import random
 
 import pytest
 
-from motifgen import MotifCode, TemporalGraph, count_motifs, count_spectra
+from motifgen import (MotifCode, MotifEncodingError, TemporalGraph, count_motifs,
+                      count_spectra)
+from motifgen.counting import CHUNK_ROWS
 
 from helpers import oracle_count, random_stream, window_totals
+from surrogate import desk_scale_stream
 
 
 def code(s: str) -> MotifCode:
@@ -33,6 +37,15 @@ def test_window_boundary_inclusive_vs_exclusive():
 def test_equal_timestamps_never_chain():
     g = TemporalGraph.from_events([(1, 2, 5), (2, 3, 5)])
     assert count_motifs(g, 2, 10).total == 0
+
+
+def test_self_loops_in_an_instance_have_no_code():
+    # the parser drops self-loops; a graph built by hand may still hold them
+    for events in ([(1, 1, 0), (1, 2, 1)], [(1, 2, 0), (2, 2, 1)]):
+        with pytest.raises(MotifEncodingError):
+            count_motifs(TemporalGraph.from_events(events), 2, 10)
+    alone = TemporalGraph.from_events([(1, 1, 0), (3, 4, 1)])
+    assert count_motifs(alone, 2, 10).counts == {}
 
 
 def test_unsupported_l_rejected():
@@ -179,6 +192,26 @@ def test_spectra_sizes_deduplicated_and_checked():
         count_spectra(g, (2,), 10, window_count=-1)
 
 
+@pytest.mark.parametrize("inclusive", [True, False])
+def test_spectra_exact_for_huge_ids_and_timestamps(inclusive):
+    """Node ids near 2**62 and timestamps around 2**63 and beyond 2**64,
+    which the parser accepts, neither wrap nor overflow the counting index."""
+    rng = random.Random(63)
+    for start, delta_c in ((2**63 - 12, 6), (2**64 - 5, 9), (2**63 - 1, 2**64)):
+        for _ in range(10):
+            small = random_stream(rng, n_events=rng.randint(2, 12),
+                                  n_nodes=rng.randint(2, 5), t_max=25)
+            g = TemporalGraph.from_events(
+                [(2**62 + 7 * e.src, 2**62 + 7 * e.dst, start + e.t)
+                 for e in small.events])
+            spectra = count_spectra(g, (2, 3, 4), delta_c, inclusive=inclusive,
+                                    window_count=3)
+            for l in (2, 3, 4):
+                assert spectra[l].counts == oracle_count(g, l, delta_c, inclusive)
+                assert spectra[l].windows == window_totals(
+                    g, l, delta_c, 3, inclusive)
+
+
 def test_spectra_leave_no_reference_cycles():
     rng = random.Random(77)
     g = random_stream(rng, n_events=40, n_nodes=6, t_max=60)
@@ -189,3 +222,49 @@ def test_spectra_leave_no_reference_cycles():
         assert gc.collect() == 0  # the index is freed on return
     finally:
         gc.enable()
+
+
+# ------------------------------------------------------------ pinned counts
+
+def _spectra_digests(g, delta_c, inclusive):
+    """sha256 of each size's per-type counts and window totals."""
+    spectra = count_spectra(g, (2, 3, 4), delta_c, inclusive, window_count=10)
+    return {l: hashlib.sha256(repr((
+        sorted((c.render(), n) for c, n in s.counts.items()), s.windows,
+    )).encode()).hexdigest() for l, s in spectra.items()}
+
+
+PINNED_DIGESTS = {  # no desk gap equals delta_c, so its two modes agree
+    ("desk", True): {
+        2: "4d57b712ceed241fe58724dbf89e71dad14919750113104d912c6dca2a92020f",
+        3: "bfdf0ea3b836d8c07569db14042fe3ff1e4adea426fd704b4b83a181c52ae548",
+        4: "5585816801d0875123b89936f8f8421fa830a144ba1f728f76c360ed8069f3cb"},
+    ("desk", False): {
+        2: "4d57b712ceed241fe58724dbf89e71dad14919750113104d912c6dca2a92020f",
+        3: "bfdf0ea3b836d8c07569db14042fe3ff1e4adea426fd704b4b83a181c52ae548",
+        4: "5585816801d0875123b89936f8f8421fa830a144ba1f728f76c360ed8069f3cb"},
+    ("dense", True): {
+        2: "526fb4823de81a08371c0f6ba29fce5af111aec97398375a3c165c0c84cf595d",
+        3: "7dcdabb8a753467765cddce1de1ad994ba60c1893817f0533ff47ab557a9a33d",
+        4: "32d0eaf1dc7dd6138a400730fe6f226731384dd85539d5b7a02a090d39570c77"},
+    ("dense", False): {
+        2: "2971d7a03cf564974f485479c8f18d2100a4850b59ca2288fcfdcfb4e69fea8d",
+        3: "782d2a53aa827394582ec044eaa092a9be5984d5fa8e402ae417e4cf267cdb8f",
+        4: "013a52a7d569f5225b04e3b44f155ccd112ae7eadc538fe3fdc6e6040067e183"},
+}
+
+
+@pytest.mark.parametrize("stream", ["desk", "dense"])
+def test_spectra_digests_are_pinned(stream):
+    """Counts and windows of two surrogate streams, in both modes, pinned.
+
+    The desk-like stream has 5,000 events and the dense one (``mean_iet=10``)
+    3,000, so the root events fill several chunks of the counting engine and
+    the deeper levels grown from one chunk of rows hold more than one chunk.
+    """
+    g = (desk_scale_stream(n_events=5000) if stream == "desk"
+         else desk_scale_stream(n_events=3000, mean_iet=10))
+    assert len(g) > 2 * CHUNK_ROWS
+    for inclusive in (True, False):
+        assert _spectra_digests(g, 3600, inclusive) \
+            == PINNED_DIGESTS[stream, inclusive], f"inclusive={inclusive}"
