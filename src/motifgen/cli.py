@@ -51,18 +51,14 @@ def spectrum(l: int):
 
 @main.command()
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--lmax", type=int, default=DEFAULT_L_MAX, show_default=True,
-              help="Transition size limit.")
-@click.option("--delta", type=int, default=DEFAULT_DELTA, show_default=True,
-              help="Transition time limit in seconds.")
+@click.option("--lmax", type=click.IntRange(min=2), default=DEFAULT_L_MAX,
+              show_default=True, help="Transition size limit.")
+@click.option("--delta", type=click.IntRange(min=1), default=DEFAULT_DELTA,
+              show_default=True, help="Transition time limit in seconds.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False),
               required=True, help="Profile JSON output path.")
 def extract(input_path: str, lmax: int, delta: int, out_path: str):
     """Scan an edge list and write its transition profile."""
-    if lmax < 2:
-        raise click.UsageError("--lmax must be at least 2")
-    if delta <= 0:
-        raise click.UsageError("--delta must be positive")
     g = _load(input_path)
     try:
         profile = extract_profile(g, delta=delta, l_max=lmax)
@@ -86,14 +82,13 @@ def extract(input_path: str, lmax: int, delta: int, out_path: str):
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED,
               show_default=True)
-@click.option("--runs", type=int, default=DEFAULT_RUNS, show_default=True,
+@click.option("--runs", type=click.IntRange(min=1), default=DEFAULT_RUNS,
+              show_default=True,
               help="Number of graphs to generate (seeds seed..seed+runs-1).")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False),
               required=True, help="Output edge list (run index appended when runs > 1).")
 def generate_cmd(profile_path: str, seed: int, runs: int, out_path: str):
     """Generate synthetic edge lists from a profile."""
-    if runs < 1:
-        raise click.UsageError("--runs must be at least 1")
     try:
         profile = load_profile(profile_path)
     except ValueError as exc:

@@ -3,10 +3,13 @@
 An instance is an ordered tuple of ``l`` events with strictly increasing
 timestamps, every consecutive gap within the ceiling ``delta_c``, and each
 event sharing a node with the earlier ones. Instances may overlap (they are
-event subsets, not a partition). Counting grows all instances together, one
-event a level: every instance of ``k`` events is a row of numpy arrays, and
-its next events come from binary searches in a per-node time index, in time
-order (edge-driven expansion, Mackey et al., IEEE BigData 2018). Canonical
+event subsets, not a partition). A graph holds no self-loop
+(:meth:`~motifgen.events.TemporalGraph.from_events` drops them), so every
+event roots an instance of code ``01``. Counting grows all instances
+together, one event a level: every instance of ``k`` events is a row of
+numpy arrays, and its next events come from binary searches in a per-node
+time index, in time order (edge-driven expansion, Mackey et al., IEEE
+BigData 2018). Canonical
 digits are assigned as each event joins, so each instance lands directly on
 its type code. Rows are grown a chunk at a time, depth first, so memory is
 bounded by one chunk's growth, not by the number of instances.
@@ -108,7 +111,7 @@ def _count(g: TemporalGraph, levels: tuple[int, ...], delta_c: int,
     key += roots
     key = key.ravel()
     key.sort()
-    code = (src != dst).astype(np.int32)  # 1 packs (0, 1); a self-loop has no code
+    code = np.ones(m, np.int32)  # 1 packs (0, 1)
     stack = [(1, roots, roots, code, pairs.T)]
     while stack:
         size, root, last, code, nodes = stack.pop()

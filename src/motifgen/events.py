@@ -1,15 +1,21 @@
-"""Timestamped edge streams: parsing, validation, ordering, serialization.
+"""Timestamped edge streams: what a graph is, and its parsing and serialization.
 
 The on-disk format is the SNAP temporal edge-list convention: one ASCII line
 ``src dst t`` per event, ``#``-prefixed comment lines ignored. Node ids are
 opaque non-negative integers (no compaction), timestamps are integer seconds.
+
+This module holds the package's one definition of a graph:
+:meth:`TemporalGraph.from_events` drops self-loops (no motif code names
+one) wherever a graph is built, and :func:`degrees` is the one count of
+each node's in- and out-degree over a set of edges.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Collection, Iterable, NamedTuple
 
 
 class Event(NamedTuple):
@@ -42,18 +48,22 @@ class TemporalGraph:
 
     ``events`` are sorted non-decreasing by timestamp; equal timestamps keep
     their input order (everywhere in this package "time order" means the
-    lexicographic (t, input-index) order).
+    lexicographic (t, input-index) order). A graph holds no self-loop: see
+    :meth:`from_events`.
     """
 
     events: tuple[Event, ...]
     dropped_self_loops: int = field(default=0, compare=False)
 
     @classmethod
-    def from_events(cls, events: Iterable[Event | tuple[int, int, int]],
-                    dropped_self_loops: int = 0) -> "TemporalGraph":
+    def from_events(cls, events: Iterable[Event | tuple[int, int, int]]
+                    ) -> "TemporalGraph":
+        """Time-order ``events`` into a graph. Self-loops have no motif
+        encoding, so they are dropped and counted in ``dropped_self_loops``."""
         evs = [e if isinstance(e, Event) else Event(*e) for e in events]
-        evs.sort(key=itemgetter(2))  # by t; stable: ties keep input order
-        return cls(events=tuple(evs), dropped_self_loops=dropped_self_loops)
+        kept = [e for e in evs if e.src != e.dst]
+        kept.sort(key=itemgetter(2))  # by t; stable: ties keep input order
+        return cls(events=tuple(kept), dropped_self_loops=len(evs) - len(kept))
 
     @property
     def node_count(self) -> int:
@@ -74,24 +84,17 @@ class TemporalGraph:
         return len(self.events)
 
 
-def parse_events(source: str | bytes | IO) -> TemporalGraph:
-    """Parse a ``src dst t`` edge list into a time-ordered :class:`TemporalGraph`.
+def parse_events(source: str | IO[str]) -> TemporalGraph:
+    """Parse a ``src dst t`` edge list, given as text or a text-mode handle,
+    into a time-ordered :class:`TemporalGraph`.
 
-    Self-loop lines are dropped (and counted on the result); duplicate
-    ``(src, dst, t)`` lines are retained. Raises :class:`EdgeListParseError`
-    for malformed lines and :class:`EdgeListValidationError` for negative
-    node ids or timestamps.
+    Duplicate ``(src, dst, t)`` lines are retained; self-loop lines are
+    dropped, as everywhere a graph is built. Raises
+    :class:`EdgeListParseError` for malformed lines and
+    :class:`EdgeListValidationError` for negative node ids or timestamps.
     """
-    if isinstance(source, bytes):
-        lines: Iterable[str] = source.decode("ascii", errors="replace").splitlines()
-    elif isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = (raw.decode("ascii", errors="replace") if isinstance(raw, bytes) else raw
-                 for raw in source)
-
+    lines = source.splitlines() if isinstance(source, str) else source
     events: list[Event] = []
-    dropped = 0
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -107,12 +110,9 @@ def parse_events(source: str | bytes | IO) -> TemporalGraph:
             raise EdgeListValidationError(lineno, f"negative node id in {stripped!r}")
         if t < 0:
             raise EdgeListValidationError(lineno, f"negative timestamp in {stripped!r}")
-        if src == dst:
-            dropped += 1  # self-loops have no motif encoding; reported, not kept
-            continue
         events.append(Event(src, dst, t))
 
-    return TemporalGraph.from_events(events, dropped_self_loops=dropped)
+    return TemporalGraph.from_events(events)
 
 
 def write_events(g: TemporalGraph) -> str:
@@ -126,6 +126,14 @@ def write_events(g: TemporalGraph) -> str:
 def static_projection(g: TemporalGraph) -> set[tuple[int, int]]:
     """Deduplicated, direction-sensitive set of node pairs underlying ``g``."""
     return {(e.src, e.dst) for e in g.events}
+
+
+def degrees(edges: Collection[tuple[int, int]]) -> dict[int, tuple[int, int]]:
+    """Each node's ``(in, out)`` degree over ``edges``, distinct directed
+    node pairs such as :func:`static_projection` returns."""
+    in_deg = Counter(v for _u, v in edges)
+    out_deg = Counter(u for u, _v in edges)
+    return {n: (in_deg[n], out_deg[n]) for n in in_deg.keys() | out_deg.keys()}
 
 
 def load_events(path) -> TemporalGraph:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .codec import STOP, MotifCode, Pair, _StopState
-from .events import Event, TemporalGraph, static_projection
+from .events import Event, TemporalGraph, degrees, static_projection
 
 PairsKey = tuple[Pair, ...]
 
@@ -238,14 +238,7 @@ def extract_profile(g: TemporalGraph, delta: int, l_max: int,
 
     # Cold-event degree sequence and per-edge weights over the projection.
     weights = Counter((e.src, e.dst) for e in cold)
-    in_deg: Counter[int] = Counter()
-    out_deg: Counter[int] = Counter()
-    for (cu, cv) in weights:
-        out_deg[cu] += 1
-        in_deg[cv] += 1
-    nodes = sorted(set(in_deg) | set(out_deg))
-    k_ce = [(in_deg[n], out_deg[n]) for n in nodes]
-    ce_edge_weights = sorted(weights.values())
+    cold_degrees = degrees(weights.keys())
 
     def transition_key(src: PairsKey, dst: PairsKey | _StopState) -> TransitionKey:
         return TransitionKey(MotifCode(src), dst if dst is STOP else MotifCode(dst))
@@ -253,9 +246,9 @@ def extract_profile(g: TemporalGraph, delta: int, l_max: int,
     return TransitionProfile(
         l_max=l_max,
         delta=delta,
-        k_ce=k_ce,
+        k_ce=[cold_degrees[n] for n in sorted(cold_degrees)],
         t_ce=[e.t for e in cold],
-        ce_edge_weights=ce_edge_weights,
+        ce_edge_weights=sorted(weights.values()),
         counts={transition_key(*k): c for k, c in counts.items()},
         delta_t_sums={transition_key(*k): (gap, counts[k])
                       for k, gap in dt_sum.items()},

@@ -9,14 +9,14 @@ and a batch of synthetic replicas.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
 
 # count_motifs stays importable from here: bench/spans.py wraps it by name.
 from .counting import check_count_args, count_motifs, count_spectra  # noqa: F401
-from .events import TemporalGraph, static_projection
+from .events import TemporalGraph, degrees, static_projection
 
 
 @dataclass(frozen=True)
@@ -58,18 +58,14 @@ def _weak_components(edges: Iterable[tuple[int, int]],
 def global_stats(g: TemporalGraph) -> GlobalStats:
     if not g.events:
         raise ValueError("global statistics are undefined for an empty graph")
-    proj = static_projection(g)
-    degree: Counter[int] = Counter()
-    for u, v in proj:
-        degree[u] += 1
-        degree[v] += 1
-    nodes = list(degree)
-    comp_sizes = _weak_components(proj, nodes)
-    n_events = len(g.events)
     multiplicity = Counter((e.src, e.dst) for e in g.events)
+    proj = multiplicity.keys()  # the static projection
+    degree = degrees(proj)
+    comp_sizes = _weak_components(proj, degree)
+    n_events = len(g.events)
     return GlobalStats(
         edge_count=len(proj),
-        mean_degree=sum(degree.values()) / len(nodes),
+        mean_degree=sum(i + o for i, o in degree.values()) / len(degree),
         n_components=len(comp_sizes),
         lcc_size=max(comp_sizes),
         event_count=n_events,
@@ -106,15 +102,8 @@ def msre(synthetic_counts: Sequence[int], original_count: int) -> float:
 
 
 def _degree_samples(g: TemporalGraph) -> tuple[list[int], list[int]]:
-    in_deg: Counter[int] = Counter()
-    out_deg: Counter[int] = Counter()
-    nodes = set()
-    for u, v in static_projection(g):
-        out_deg[u] += 1
-        in_deg[v] += 1
-        nodes.add(u)
-        nodes.add(v)
-    return ([in_deg[n] for n in nodes], [out_deg[n] for n in nodes])
+    in_out = degrees(static_projection(g)).values()
+    return [i for i, _o in in_out], [o for _i, o in in_out]
 
 
 def _iet_samples(g: TemporalGraph) -> list[int]:
@@ -127,21 +116,20 @@ def _shifted_timestamps(g: TemporalGraph) -> list[int]:
     return [e.t - t0 for e in g.events]
 
 
-GLOBAL_METRICS = ("edge_count", "mean_degree", "n_components", "lcc_size",
-                  "event_count", "timespan_seconds", "mean_iet",
-                  "max_events_on_edge")
+GLOBAL_METRICS = tuple(f.name for f in fields(GlobalStats))
 KS_DISTRIBUTIONS = ("in_degree", "out_degree", "iet", "timestamp")
 
 
 def compare_report(original: TemporalGraph, synthetics: Sequence[TemporalGraph],
                    delta_c: int, l_set: Sequence[int] = (2, 3),
-                   window_count: int = 10, inclusive: bool = True) -> dict:
+                   window_count: int = 10) -> dict:
     """Full fidelity report of ``synthetics`` against ``original``.
 
     Emits the eight global-statistic ratios (synthetic mean over original),
     the four KS statistics averaged over replicas, MSRE per motif size and
     per motif type (``None`` where undefined), and per-window motif totals.
-    Each graph is counted once, for every size and window together.
+    Each graph is counted once, for every size and window together, and a
+    gap equal to ``delta_c`` is within the ceiling.
     """
     if not synthetics:
         raise ValueError("need at least one synthetic graph")
@@ -169,10 +157,9 @@ def compare_report(original: TemporalGraph, synthetics: Sequence[TemporalGraph],
         ks_totals["timestamp"] += ks_statistic(orig_ts, _shifted_timestamps(s))
     ks_mean = {k: v / len(synthetics) for k, v in ks_totals.items()}
 
-    orig_spectra = count_spectra(original, l_set, delta_c, inclusive=inclusive,
+    orig_spectra = count_spectra(original, l_set, delta_c,
                                  window_count=window_count)
-    synth_spectra = [count_spectra(s, l_set, delta_c, inclusive=inclusive,
-                                   window_count=window_count)
+    synth_spectra = [count_spectra(s, l_set, delta_c, window_count=window_count)
                      for s in synthetics]
     msre_report: dict[str, dict] = {}
     window_report: dict[str, dict] = {}
@@ -205,7 +192,7 @@ def compare_report(original: TemporalGraph, synthetics: Sequence[TemporalGraph],
     return {
         "replicas": len(synthetics),
         "params": {"delta_c": delta_c, "l_set": list(l_set),
-                   "window_count": window_count, "inclusive": inclusive},
+                   "window_count": window_count, "inclusive": True},
         "global_stats": {
             "original": orig_stats,
             "synthetic_mean": mean_stats,

@@ -14,6 +14,7 @@ seed.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 from motifgen import Event, TemporalGraph
 
@@ -31,12 +32,14 @@ def desk_scale_stream(seed: int = DEFAULT_SEED, n_events: int = 60_000,
     mean_burst = 1.0 / (1.0 - burst_continue_p)
     session_gap = mean_iet * mean_burst
 
-    weights = [1.0 / (i + 1) ** 0.5 for i in range(n_nodes)]
+    population = range(n_nodes)
+    # built once: given weights, random.choices would accumulate them per draw
+    cum_weights = list(accumulate(1.0 / (i + 1) ** 0.5 for i in population))
     contacts: dict[int, list[int]] = {}
 
     def pick_node(exclude: set[int]) -> int:
         while True:
-            node = rng.choices(range(n_nodes), weights=weights, k=1)[0]
+            node = rng.choices(population, cum_weights=cum_weights, k=1)[0]
             if node not in exclude:
                 return node
 

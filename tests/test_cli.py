@@ -58,6 +58,16 @@ def test_extract_rejects_lmax_one(tmp_path):
     assert result.exit_code != 0
 
 
+def test_extract_rejects_delta_zero(tmp_path):
+    toy = write_toy(tmp_path)
+    out = tmp_path / "p.json"
+    result = run("extract", toy, "--delta", 0, "--out", out)
+    assert result.exit_code == 2
+    assert "Usage:" in result.output
+    assert "--delta" in result.output
+    assert not out.exists()
+
+
 def test_extract_large_lmax_reports_the_possible_types(tmp_path):
     toy = write_toy(tmp_path, content="1 2 1\n2 3 2\n3 1 3\n1 3 4\n2 1 5\n")
     out = tmp_path / "p.json"
@@ -113,6 +123,18 @@ def test_generate_rejects_negative_seed(tmp_path):
     assert "--seed" in result.output
     assert "Traceback" not in result.output
     assert not (tmp_path / "g.txt").exists()
+
+
+def test_generate_rejects_zero_runs(tmp_path):
+    toy = write_toy(tmp_path)
+    profile = tmp_path / "p.json"
+    run("extract", toy, "--lmax", 3, "--delta", 5, "--out", profile)
+    result = run("generate", "--profile", profile, "--runs", 0,
+                 "--out", tmp_path / "g.txt")
+    assert result.exit_code == 2
+    assert "Usage:" in result.output
+    assert "--runs" in result.output
+    assert not list(tmp_path.glob("g*.txt"))
 
 
 def test_generate_multiple_runs(tmp_path):

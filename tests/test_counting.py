@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from motifgen import (MotifCode, MotifEncodingError, TemporalGraph, count_motifs,
-                      count_spectra)
+from motifgen import (MotifCode, TemporalGraph, count_motifs, count_spectra,
+                      extract_profile, global_stats)
 from motifgen.counting import CHUNK_ROWS
 
 from helpers import oracle_count, random_stream, window_totals
@@ -39,13 +39,19 @@ def test_equal_timestamps_never_chain():
     assert count_motifs(g, 2, 10).total == 0
 
 
-def test_self_loops_in_an_instance_have_no_code():
-    # the parser drops self-loops; a graph built by hand may still hold them
-    for events in ([(1, 1, 0), (1, 2, 1)], [(1, 2, 0), (2, 2, 1)]):
-        with pytest.raises(MotifEncodingError):
-            count_motifs(TemporalGraph.from_events(events), 2, 10)
-    alone = TemporalGraph.from_events([(1, 1, 0), (3, 4, 1)])
-    assert count_motifs(alone, 2, 10).counts == {}
+def test_self_loops_are_dropped_where_a_graph_is_built():
+    for events in ([(1, 1, 0), (1, 2, 1)], [(1, 2, 0), (2, 2, 1)],
+                   [(1, 1, 0), (3, 4, 1)], [(1, 2, 0), (2, 2, 1), (2, 3, 2)]):
+        g = TemporalGraph.from_events(events)
+        loopless = [e for e in events if e[0] != e[1]]
+        clean = TemporalGraph.from_events(loopless)
+        assert (g.dropped_self_loops, clean.dropped_self_loops) == (1, 0)
+        assert [tuple(e) for e in g.events] == loopless
+        assert (count_spectra(g, (2, 3), 10, window_count=2)
+                == count_spectra(clean, (2, 3), 10, window_count=2))
+        assert (extract_profile(g, delta=10, l_max=3)
+                == extract_profile(clean, delta=10, l_max=3))
+        assert global_stats(g) == global_stats(clean)
 
 
 def test_unsupported_l_rejected():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -15,6 +16,15 @@ from motifgen import (
 )
 
 from helpers import random_stream
+from surrogate import desk_scale_stream
+
+# sha256 of write_events(desk_scale_stream(**kwargs)); the benchmark's
+# inputs are the same bytes
+SURROGATE_DIGESTS = {
+    "desk": ({}, "7b5d427bae16d43521eba58c73b1b069eb4f5b56255b40637cbd5c71c6b166c9"),
+    "dense": ({"mean_iet": 10.0},
+              "90abf87620bef9b14d586af77eb5674aca1e4207c3b907e52e3a3edd6e8260b0"),
+}
 
 
 def test_parse_sorts_by_timestamp():
@@ -119,3 +129,10 @@ def test_parse_collegemsg_when_available():
     g = load_events(path)
     assert 59_000 <= len(g.events) <= 60_500  # ~59.8K events
     assert 1_850 <= g.node_count <= 1_950     # ~1.90K nodes
+
+
+@pytest.mark.parametrize("stream", sorted(SURROGATE_DIGESTS))
+def test_surrogate_streams_are_pinned(stream):
+    kwargs, digest = SURROGATE_DIGESTS[stream]
+    text = write_events(desk_scale_stream(**kwargs))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
