@@ -29,6 +29,9 @@ class _StopState:
     def __repr__(self) -> str:
         return "STOP"
 
+    def __reduce__(self) -> str:  # pickle and copy resolve it to ``STOP``
+        return "STOP"
+
 
 STOP = _StopState()
 

@@ -1,11 +1,12 @@
 """Single-pass extraction of motif-transition statistics from an event stream.
 
-The scan keeps a list of active transition processes. Each incoming event
-retires the processes it finds expired (older than the time limit ``delta``)
-or size-saturated (``l_max`` events), extends every remaining process whose
-node set it touches, and starts a new process if it extended none (a cold
-event). The profile keeps what the scan counted: transition and stop counts,
-gap sums, and the cold events' degrees, edge weights and timestamps. The
+The scan keeps the live processes in order of their last event and, per
+node, the live processes holding it. An event retires those more than
+``delta`` after their last event, extends those holding one of its nodes
+(so its work follows them, not all live processes), retires any that reach
+``l_max`` events, and starts a process if it extended none (a cold event).
+The profile keeps what the scan counted: transition and stop counts, gap
+sums, and the cold events' degrees, edge weights and timestamps. The
 probabilities, exponential rates and mean final-motif edge count are derived
 from those counts whenever a profile is built. Saved profiles (format 2)
 store each counted number once; format 1 files, which also stored the
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -88,11 +89,9 @@ class TransitionProfile:
         for key, c in self.counts.items():
             totals[key.src] += c
         self.probs, self.rates = {}, {}
-        for key in sorted(self.delta_t_sums,
-                          key=lambda k: (k.src.pairs, k.dst.pairs)):
+        for key, (s, n) in sorted(self.delta_t_sums.items(), key=_code_order):
             self.probs.setdefault(key.src, {})[key.dst] = (
                 self.counts[key] / totals[key.src])
-            s, n = self.delta_t_sums[key]
             # a zero mean gap is floored at the 1-second data resolution
             self.rates[key] = 1.0 / (s / n or 1.0)
         self.cold_event_count = len(self.t_ce)  # one stop per process
@@ -105,6 +104,12 @@ class TransitionProfile:
         if not row:
             return 1.0
         return max(0.0, 1.0 - sum(row.values()))  # guard float rounding
+
+
+def _code_order(item: tuple[TransitionKey, object]) -> tuple:
+    """Sort key of a ``(key, value)`` item: source, then successor, stop last."""
+    src, dst = item[0]
+    return src.pairs, dst is STOP, getattr(dst, "pairs", ())
 
 
 def _check_ints(what: str, values, low: float = 0) -> None:
@@ -158,32 +163,23 @@ def _validate(p: TransitionProfile) -> None:
 
 
 class _Proc:
-    """One active process during the scan."""
+    """One live process during the scan."""
 
     __slots__ = ("digit_of", "pairs", "t_last", "events")
 
-    def __init__(self, ev: Event, keep_events: bool):
+    def __init__(self, ev: Event):
         self.digit_of = {ev.src: 0, ev.dst: 1}
         self.pairs: PairsKey = ((0, 1),)
         self.t_last = ev.t
-        self.events: list[Event] | None = [ev] if keep_events else None
-
-    def extend(self, ev: Event) -> None:
-        digit_of = self.digit_of
-        s = digit_of.setdefault(ev.src, len(digit_of))
-        d = digit_of.setdefault(ev.dst, len(digit_of))
-        self.pairs = self.pairs + ((s, d),)
-        self.t_last = ev.t
-        if self.events is not None:
-            self.events.append(ev)
+        self.events = [ev]
 
 
 def extract_profile(g: TemporalGraph, delta: int, l_max: int,
                     keep_processes: bool = False) -> TransitionProfile:
     """Run the scan over ``g`` and return the assembled profile.
 
-    One forward pass; per-event work is proportional to the number of
-    currently active processes.
+    One forward pass; per-event work follows the live processes holding the
+    event's two nodes and those that expire, not all live processes.
     """
     if l_max < 2:
         raise ValueError(f"l_max must be at least 2, got {l_max}")
@@ -196,45 +192,53 @@ def extract_profile(g: TemporalGraph, delta: int, l_max: int,
     dt_sum: Counter[tuple[PairsKey, PairsKey]] = Counter()
     cold: list[Event] = []
     records: list[ProcessRecord] | None = [] if keep_processes else None
+    live: dict[_Proc, None] = {}  # least recently extended first: by t_last
+    horizon = -math.inf  # at most the oldest live process's t_last + delta
+    holding: defaultdict[int, dict[_Proc, None]] = defaultdict(dict)  # by node
 
-    def retire(proc: _Proc, at_end: bool) -> None:
+    def retire(proc: _Proc, reason: str) -> None:
+        del live[proc]
+        for node in proc.digit_of:  # drop emptied entries, so memory follows ``live``
+            on_node = holding[node]
+            del on_node[proc]
+            if not on_node:
+                del holding[node]
         counts[(proc.pairs, STOP)] += 1
         if records is not None:
-            if len(proc.pairs) >= l_max:
-                reason = "size"
-            else:
-                reason = "end" if at_end else "time"
-            records.append(ProcessRecord(
-                events=list(proc.events or ()),
-                code=MotifCode(proc.pairs),
-                stop_reason=reason,
-            ))
+            records.append(ProcessRecord(proc.events, MotifCode(proc.pairs), reason))
 
-    active: list[_Proc] = []
     for ev in g.events:
         u, v, t = ev
-        extended = False
-        survivors: list[_Proc] = []
-        for proc in active:
-            if len(proc.pairs) >= l_max or t - proc.t_last > delta:
-                retire(proc, at_end=False)
-                continue
-            digit_of = proc.digit_of
-            if u in digit_of or v in digit_of:
-                old_pairs = proc.pairs
-                gap = t - proc.t_last
-                proc.extend(ev)
-                key = (old_pairs, proc.pairs)
-                counts[key] += 1
-                dt_sum[key] += gap
-                extended = True
-            survivors.append(proc)
-        active = survivors
-        if not extended:
+        if t > horizon:  # up to the horizon, no live process has expired
+            while live and t - (oldest := next(iter(live))).t_last > delta:
+                retire(oldest, "time")
+            horizon = oldest.t_last + delta if live else t
+        extend = holding[u] | holding[v]  # those on u, then those only on v
+        if not extend:
             cold.append(ev)
-            active.append(_Proc(ev, keep_processes))
-    for proc in active:
-        retire(proc, at_end=True)
+            proc = _Proc(ev)
+            live[proc] = holding[u][proc] = holding[v][proc] = None
+            continue
+        for proc in extend:
+            digit_of = proc.digit_of
+            if u not in digit_of:
+                digit_of[u] = len(digit_of)
+                holding[u][proc] = None
+            if v not in digit_of:
+                digit_of[v] = len(digit_of)
+                holding[v][proc] = None
+            key = (proc.pairs, proc.pairs + ((digit_of[u], digit_of[v]),))
+            counts[key] += 1
+            dt_sum[key] += t - proc.t_last
+            proc.pairs, proc.t_last = key[1], t
+            proc.events.append(ev)
+            if len(key[1]) == l_max:
+                retire(proc, "size")
+            else:  # move to the back of ``live``
+                del live[proc]
+                live[proc] = None
+    for proc in list(live):
+        retire(proc, "end")
 
     # Cold-event degree sequence and per-edge weights over the projection.
     weights = Counter((e.src, e.dst) for e in cold)
@@ -276,14 +280,16 @@ def profile_to_dict(profile: TransitionProfile) -> dict:
     """JSON-ready form; code keys rendered as strings, stop keyed ``"stop"``.
 
     Only the additive statistics are written; everything derived from them
-    is recomputed when the document is read back.
+    is recomputed when the document is read back. Rows and their successors
+    are in code order, stop last, so the order in which the scan first met
+    each transition does not reach a saved file.
     """
     counts_nested: dict[str, dict[str, int]] = {}
-    for key, c in profile.counts.items():
+    for key, c in sorted(profile.counts.items(), key=_code_order):
         dst = _STOP_KEY if key.dst is STOP else key.dst.render()
         counts_nested.setdefault(key.src.render(), {})[dst] = c
     dt_nested: dict[str, dict[str, list[int]]] = {}
-    for key, (s, n) in profile.delta_t_sums.items():
+    for key, (s, n) in sorted(profile.delta_t_sums.items(), key=_code_order):
         dt_nested.setdefault(key.src.render(), {})[key.dst.render()] = [s, n]
     return {
         "version": PROFILE_FORMAT_VERSION,

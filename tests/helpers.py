@@ -29,6 +29,18 @@ def random_stream(rng: random.Random, n_events: int, n_nodes: int,
     return TemporalGraph.from_events(events)
 
 
+def disjoint_groups_stream(rng: random.Random, n_events: int, n_groups: int,
+                           group_size: int, t_max: int) -> TemporalGraph:
+    """Events only inside ``n_groups`` disjoint node groups, so many
+    processes run side by side and no event can reach most of them."""
+    events = []
+    for _ in range(n_events):
+        base = rng.randrange(n_groups) * group_size
+        u, v = rng.sample(range(group_size), 2)
+        events.append(Event(base + u, base + v, rng.randrange(t_max)))
+    return TemporalGraph.from_events(events)
+
+
 # ---------------------------------------------------------------- extraction
 
 def _trajectory(events, seed_idx: int, delta: int, l_max: int) -> list[int]:
@@ -60,6 +72,9 @@ def oracle_extract(g: TemporalGraph, delta: int, l_max: int) -> dict:
 
     An event is cold iff no earlier-seeded trajectory contains it; every
     cold event seeds one trajectory computed independently by first-match.
+    ``processes`` lists each trajectory as ``(events, code, stop_reason)``:
+    "size" at ``l_max`` events, "time" when a later event arrives more than
+    ``delta`` after its last one, and "end" otherwise.
     """
     events = g.events
     hot: set[int] = set()
@@ -77,9 +92,15 @@ def oracle_extract(g: TemporalGraph, delta: int, l_max: int) -> dict:
     dt_sums: Counter = Counter()
     dt_ns: Counter = Counter()
     edge_counts = []
+    processes = []
     for traj in trajectories:
         evs = [events[j] for j in traj]
         codes = [encode(evs[:k]) for k in range(1, len(evs) + 1)]
+        if len(evs) == l_max:
+            reason = "size"
+        else:
+            reason = "time" if events[-1].t - evs[-1].t > delta else "end"
+        processes.append((tuple(evs), codes[-1], reason))
         for k in range(len(codes) - 1):
             key = (codes[k], codes[k + 1])
             counts[key] += 1
@@ -93,6 +114,7 @@ def oracle_extract(g: TemporalGraph, delta: int, l_max: int) -> dict:
         "counts": dict(counts),
         "delta_t_sums": {k: (dt_sums[k], dt_ns[k]) for k in dt_ns},
         "mu": sum(edge_counts) / len(edge_counts) if edge_counts else None,
+        "processes": processes,
     }
 
 

@@ -1,4 +1,8 @@
+import copy
+import hashlib
 import json
+import math
+import pickle
 import random
 from collections import Counter
 
@@ -9,6 +13,7 @@ from motifgen import (
     GenerationConfig,
     MotifCode,
     TemporalGraph,
+    TransitionProfile,
     cold_event_fraction,
     extract_profile,
     generate,
@@ -19,7 +24,8 @@ from motifgen import (
 )
 from motifgen.extraction import TransitionKey, profile_from_dict, profile_to_dict
 
-from helpers import oracle_extract, profile_counts_as_oracle, random_stream
+from helpers import (disjoint_groups_stream, oracle_extract,
+                     profile_counts_as_oracle, random_stream)
 from surrogate import desk_scale_stream
 
 
@@ -141,30 +147,41 @@ def test_zero_gap_transition_floors_rate():
     assert profile.rates[key] == 1.0  # mean floored at the 1s resolution
 
 
+def _assert_matches_oracle(g: TemporalGraph, delta: int, l_max: int) -> None:
+    profile = extract_profile(g, delta=delta, l_max=l_max)
+    oracle = oracle_extract(g, delta=delta, l_max=l_max)
+    assert profile.cold_event_count == len(oracle["cold_events"])
+    assert profile.t_ce == [e.t for e in oracle["cold_events"]]
+    weights = Counter((e.src, e.dst) for e in oracle["cold_events"])
+    assert sorted(profile.ce_edge_weights) == sorted(weights.values())
+    in_deg, out_deg = Counter(), Counter()
+    for u, v in weights:
+        out_deg[u] += 1
+        in_deg[v] += 1
+    nodes = sorted(set(in_deg) | set(out_deg))
+    assert profile.k_ce == [(in_deg[n], out_deg[n]) for n in nodes]
+    assert profile_counts_as_oracle(profile) == oracle["counts"]
+    assert profile.delta_t_sums == {
+        TransitionKey(src, dst): v
+        for (src, dst), v in oracle["delta_t_sums"].items()}
+    assert profile.mu == pytest.approx(oracle["mu"])
+
+
 def test_matches_oracle_on_random_streams():
     rng = random.Random(2024)
     for trial in range(120):
         g = random_stream(rng, n_events=rng.randint(1, 10),
                           n_nodes=rng.randint(2, 5), t_max=30)
-        delta = rng.randint(1, 12)
-        l_max = rng.randint(2, 5)
-        profile = extract_profile(g, delta=delta, l_max=l_max)
-        oracle = oracle_extract(g, delta=delta, l_max=l_max)
-        assert profile.cold_event_count == len(oracle["cold_events"])
-        assert profile.t_ce == [e.t for e in oracle["cold_events"]]
-        weights = Counter((e.src, e.dst) for e in oracle["cold_events"])
-        assert sorted(profile.ce_edge_weights) == sorted(weights.values())
-        in_deg, out_deg = Counter(), Counter()
-        for u, v in weights:
-            out_deg[u] += 1
-            in_deg[v] += 1
-        nodes = sorted(set(in_deg) | set(out_deg))
-        assert profile.k_ce == [(in_deg[n], out_deg[n]) for n in nodes]
-        assert profile_counts_as_oracle(profile) == oracle["counts"]
-        assert profile.delta_t_sums == {
-            TransitionKey(src, dst): v
-            for (src, dst), v in oracle["delta_t_sums"].items()}
-        assert profile.mu == pytest.approx(oracle["mu"])
+        _assert_matches_oracle(g, delta=rng.randint(1, 12),
+                               l_max=rng.randint(2, 5))
+    # many concurrent disjoint processes, most of them never touched by
+    # the next event, under a delta that in half the trials outlasts the stream
+    for trial in range(40):
+        g = disjoint_groups_stream(rng, n_events=rng.randint(20, 60),
+                                   n_groups=rng.randint(8, 20),
+                                   group_size=rng.randint(2, 3), t_max=40)
+        _assert_matches_oracle(g, delta=rng.choice((25, 1000)),
+                               l_max=rng.randint(2, 5))
 
 
 def test_matches_oracle_on_longer_streams():
@@ -183,6 +200,49 @@ def test_matches_oracle_on_longer_streams():
         assert profile_counts_as_oracle(profile) == oracle["counts"]
 
 
+def _retired_at(record, events, delta: int) -> float:
+    """When the scan retires a process: at the event that fills it, at the
+    first event more than ``delta`` after its last one, or at the end."""
+    if record.stop_reason == "size":
+        return record.end_t
+    if record.stop_reason == "time":
+        return next(e.t for e in events if e.t - record.end_t > delta)
+    return math.inf
+
+
+def test_stop_reasons_in_retirement_order():
+    # delta 10, l_max 3: the first process fills at t=5; the second idles
+    # from t=1 while nodes 6 and 7 keep talking, and nothing touches 3 or 4
+    # again; the third is still open when the stream ends
+    g = TemporalGraph.from_events([(1, 2, 0), (3, 4, 1), (1, 5, 2), (2, 5, 5),
+                                   (6, 7, 8), (6, 7, 15)])
+    profile = extract_profile(g, delta=10, l_max=3, keep_processes=True)
+    assert [(r.start_t, r.end_t, r.code.render(), r.stop_reason)
+            for r in profile.processes] == [
+        (0, 5, "010212", "size"), (1, 1, "01", "time"), (8, 15, "0101", "end")]
+
+
+def test_process_records_match_oracle():
+    rng = random.Random(31)
+    for trial in range(80):
+        if trial % 2:
+            g = random_stream(rng, n_events=rng.randint(1, 40),
+                              n_nodes=rng.randint(2, 8), t_max=60)
+        else:
+            g = disjoint_groups_stream(rng, n_events=rng.randint(1, 40),
+                                       n_groups=rng.randint(2, 12),
+                                       group_size=rng.randint(2, 3), t_max=60)
+        delta, l_max = rng.randint(1, 30), rng.randint(2, 5)
+        profile = extract_profile(g, delta=delta, l_max=l_max,
+                                  keep_processes=True)
+        records = profile.processes
+        assert Counter((tuple(r.events), r.code, r.stop_reason)
+                       for r in records) == Counter(
+            oracle_extract(g, delta=delta, l_max=l_max)["processes"])
+        retired = [_retired_at(r, g.events, delta) for r in records]
+        assert retired == sorted(retired)
+
+
 def test_profile_round_trip(tmp_path):
     rng = random.Random(77)
     g = random_stream(rng, n_events=200, n_nodes=8, t_max=400)
@@ -198,6 +258,61 @@ def test_profile_version_check(tmp_path):
     path.write_text(json.dumps({"version": 99}))
     with pytest.raises(ValueError):
         load_profile(path)
+
+
+def test_saved_bytes_do_not_depend_on_insertion_order(tmp_path):
+    rng = random.Random(78)
+    profile = extract_profile(random_stream(rng, n_events=200, n_nodes=8,
+                                            t_max=400), delta=50, l_max=4)
+    rebuilt = TransitionProfile(
+        l_max=profile.l_max, delta=profile.delta, k_ce=profile.k_ce,
+        t_ce=profile.t_ce, ce_edge_weights=profile.ce_edge_weights,
+        counts=dict(reversed(profile.counts.items())),
+        delta_t_sums=dict(reversed(profile.delta_t_sums.items())),
+        input_event_count=profile.input_event_count,
+        input_edge_count=profile.input_edge_count)
+    assert list(rebuilt.counts) != list(profile.counts)
+    save_profile(profile, tmp_path / "a.json")
+    save_profile(rebuilt, tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    rows = profile_to_dict(profile)["counts"]
+    assert list(rows) == sorted(rows, key=lambda c: code(c).pairs)
+    for row in rows.values():
+        assert list(row)[-1] == "stop" or "stop" not in row
+
+
+def test_pickled_and_copied_profiles_are_equal():
+    profile = extract_profile(TOY_STREAM, delta=5, l_max=3)
+    assert pickle.loads(pickle.dumps(profile)) == profile
+    assert copy.deepcopy(profile) == profile
+    assert pickle.loads(pickle.dumps(STOP)) is STOP
+    assert copy.deepcopy(STOP) is STOP
+
+
+# sha256 of json.dumps(profile_to_dict(p), sort_keys=True)
+PINNED_PROFILE_DIGESTS = {
+    ("desk", 3600, 4):
+        "f2db1776f4ac7bd7906e15ab24e9d575bcaa3ef7bf47cd6ce28acade806c2254",
+    ("desk", 60, 3):
+        "291f5dc72850cf7f45bed0d753abca3e43994a1973a555637a48cb8a25e2ab9d",
+    ("dense", 3600, 4):
+        "d9d104e73032ab062ba6cd5eb85884e43d674697740a1bc7cbbbdcc18a8c57df",
+    ("dense", 60, 3):
+        "91667f048b130e74ea9a32ef31760ea928dc855ec3ab68800eb8293e4b65dfea",
+}
+
+
+@pytest.mark.parametrize("stream", ["desk", "dense"])
+def test_profile_digests_are_pinned(stream):
+    """Profiles of a 5,000-event desk stream and a 3,000-event dense one."""
+    g = (desk_scale_stream(n_events=5000) if stream == "desk"
+         else desk_scale_stream(n_events=3000, mean_iet=10))
+    for delta, l_max in ((3600, 4), (60, 3)):
+        doc = profile_to_dict(extract_profile(g, delta=delta, l_max=l_max))
+        digest = hashlib.sha256(
+            json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == PINNED_PROFILE_DIGESTS[stream, delta, l_max], \
+            f"delta={delta} l_max={l_max}"
 
 
 def test_saved_profile_stores_each_number_once(tmp_path):
