@@ -22,18 +22,7 @@ class MotifEncodingError(ValueError):
     pass
 
 
-class _StopState:
-    """Sentinel for the terminal state of a transition process; ``STOP`` is
-    its one instance."""
-
-    def __repr__(self) -> str:
-        return "STOP"
-
-    def __reduce__(self) -> str:  # pickle and copy resolve it to ``STOP``
-        return "STOP"
-
-
-STOP = _StopState()
+STOP = None  # the terminal state of a transition process
 
 
 def _check_pairs(pairs: Sequence[Pair]) -> None:

@@ -4,7 +4,7 @@ An instance is an ordered tuple of ``l`` events with strictly increasing
 timestamps, every consecutive gap within the ceiling ``delta_c``, and each
 event sharing a node with the earlier ones. Instances may overlap (they are
 event subsets, not a partition). A graph holds no self-loop
-(:meth:`~motifgen.events.TemporalGraph.from_events` drops them), so every
+(building a :class:`~motifgen.events.TemporalGraph` drops them), so every
 event roots an instance of code ``01``. Counting grows all instances
 together, one event a level: every instance of ``k`` events is a row of
 numpy arrays, and its next events come from binary searches in a per-node
@@ -44,10 +44,7 @@ CHUNK_ROWS = 1024  # frontier rows grown at once; bounds the memory of a step
 class SpectrumCounts:
     """Per-type instance counts for one (l, delta_c), per-window totals if asked."""
 
-    l: int
-    delta_c: int
     counts: dict[MotifCode, int]
-    inclusive: bool = True
     windows: list[int] = field(default_factory=list)
 
     @property
@@ -164,9 +161,8 @@ def count_spectra(g: TemporalGraph, l_set: Sequence[int], delta_c: int,
         raise ValueError(f"window_count must not be negative, got {window_count}")
     levels = tuple(sorted(set(l_set)))
     counts, windows = _count(g, levels, delta_c, inclusive, window_count)
-    return {l: SpectrumCounts(l, delta_c, {MotifCode(_unpack(code, l)): c
-                                           for code, c in counts[l].items()},
-                              inclusive, windows[l])
+    return {l: SpectrumCounts({MotifCode(_unpack(code, l)): c
+                               for code, c in counts[l].items()}, windows[l])
             for l in levels}
 
 

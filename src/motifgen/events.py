@@ -4,10 +4,10 @@ The on-disk format is the SNAP temporal edge-list convention: one ASCII line
 ``src dst t`` per event, ``#``-prefixed comment lines ignored. Node ids are
 opaque non-negative integers (no compaction), timestamps are integer seconds.
 
-This module holds the package's one definition of a graph:
-:meth:`TemporalGraph.from_events` drops self-loops (no motif code names
-one) wherever a graph is built, and :func:`degrees` is the one count of
-each node's in- and out-degree over a set of edges.
+This module holds the package's one definition of a graph: building a
+:class:`TemporalGraph` drops self-loops (no motif code names one) and
+time-orders the events, and :func:`degrees` is the one count of each
+node's in- and out-degree over a set of edges.
 """
 
 from __future__ import annotations
@@ -42,28 +42,32 @@ class EdgeListValidationError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TemporalGraph:
     """A time-ordered event stream.
 
     ``events`` are sorted non-decreasing by timestamp; equal timestamps keep
     their input order (everywhere in this package "time order" means the
-    lexicographic (t, input-index) order). A graph holds no self-loop: see
-    :meth:`from_events`.
+    lexicographic (t, input-index) order). A graph holds no self-loop: no
+    motif code names one, so building a graph drops self-loops and counts
+    them in ``dropped_self_loops``.
     """
 
     events: tuple[Event, ...]
-    dropped_self_loops: int = field(default=0, compare=False)
+    dropped_self_loops: int = field(compare=False)
+
+    def __init__(self, events: Iterable[Event | tuple[int, int, int]]):
+        evs = [e if isinstance(e, Event) else Event(*e) for e in events]
+        kept = [e for e in evs if e.src != e.dst]
+        kept.sort(key=itemgetter(2))  # by t; stable: ties keep input order
+        object.__setattr__(self, "events", tuple(kept))
+        object.__setattr__(self, "dropped_self_loops", len(evs) - len(kept))
 
     @classmethod
     def from_events(cls, events: Iterable[Event | tuple[int, int, int]]
                     ) -> "TemporalGraph":
-        """Time-order ``events`` into a graph. Self-loops have no motif
-        encoding, so they are dropped and counted in ``dropped_self_loops``."""
-        evs = [e if isinstance(e, Event) else Event(*e) for e in events]
-        kept = [e for e in evs if e.src != e.dst]
-        kept.sort(key=itemgetter(2))  # by t; stable: ties keep input order
-        return cls(events=tuple(kept), dropped_self_loops=len(evs) - len(kept))
+        """The graph of ``events``; the same as calling the class."""
+        return cls(events)
 
     @property
     def node_count(self) -> int:

@@ -9,8 +9,9 @@ The profile keeps what the scan counted: transition and stop counts, gap
 sums, and the cold events' degrees, edge weights and timestamps. The
 probabilities, exponential rates and mean final-motif edge count are derived
 from those counts whenever a profile is built. Saved profiles (format 2)
-store each counted number once; format 1 files, which also stored the
-derived numbers, are still read.
+store only the counted numbers, each gap count beside the equal count of
+its transition; format 1 files, which also stored the derived numbers, are
+still read.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .codec import STOP, MotifCode, Pair, _StopState
+from .codec import STOP, MotifCode, Pair
 from .events import Event, TemporalGraph, degrees, static_projection
 
 PairsKey = tuple[Pair, ...]
@@ -31,7 +32,7 @@ class TransitionKey(NamedTuple):
     """One transition type: a source code and its successor (or STOP)."""
 
     src: MotifCode
-    dst: MotifCode | _StopState
+    dst: MotifCode | None
 
 
 @dataclass
@@ -188,12 +189,11 @@ def extract_profile(g: TemporalGraph, delta: int, l_max: int,
     if not g.events:
         raise ValueError("cannot extract a profile from an empty graph")
 
-    counts: Counter[tuple[PairsKey, PairsKey | _StopState]] = Counter()
+    counts: Counter[tuple[PairsKey, PairsKey | None]] = Counter()
     dt_sum: Counter[tuple[PairsKey, PairsKey]] = Counter()
     cold: list[Event] = []
     records: list[ProcessRecord] | None = [] if keep_processes else None
     live: dict[_Proc, None] = {}  # least recently extended first: by t_last
-    horizon = -math.inf  # at most the oldest live process's t_last + delta
     holding: defaultdict[int, dict[_Proc, None]] = defaultdict(dict)  # by node
 
     def retire(proc: _Proc, reason: str) -> None:
@@ -209,10 +209,8 @@ def extract_profile(g: TemporalGraph, delta: int, l_max: int,
 
     for ev in g.events:
         u, v, t = ev
-        if t > horizon:  # up to the horizon, no live process has expired
-            while live and t - (oldest := next(iter(live))).t_last > delta:
-                retire(oldest, "time")
-            horizon = oldest.t_last + delta if live else t
+        while live and t - (oldest := next(iter(live))).t_last > delta:
+            retire(oldest, "time")
         extend = holding[u] | holding[v]  # those on u, then those only on v
         if not extend:
             cold.append(ev)
@@ -244,7 +242,7 @@ def extract_profile(g: TemporalGraph, delta: int, l_max: int,
     weights = Counter((e.src, e.dst) for e in cold)
     cold_degrees = degrees(weights.keys())
 
-    def transition_key(src: PairsKey, dst: PairsKey | _StopState) -> TransitionKey:
+    def transition_key(src: PairsKey, dst: PairsKey | None) -> TransitionKey:
         return TransitionKey(MotifCode(src), dst if dst is STOP else MotifCode(dst))
 
     return TransitionProfile(

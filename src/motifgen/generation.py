@@ -158,36 +158,24 @@ def new_edge_probability(profile: TransitionProfile, n_cold_edges: int,
 
 
 class OutputState:
-    """Static projection and node universe of the events emitted so far."""
+    """Static projection of the events emitted so far: partner maps with a
+    key for every node seen, and those nodes in order of first appearance."""
 
     def __init__(self, new_edge_p: float = 1.0):
         self.new_edge_p = new_edge_p
         self.nodes: list[int] = []
-        self._node_set: set[int] = set()
-        self.projection: set[tuple[int, int]] = set()
-        self.out_partners: dict[int, list[int]] = {}
-        self.in_partners: dict[int, list[int]] = {}
-        self._next_node = 0
-
-    def ensure_node(self, node: int) -> None:
-        if node not in self._node_set:
-            self._node_set.add(node)
-            self.nodes.append(node)
-            if node >= self._next_node:
-                self._next_node = node + 1
-
-    def mint_node(self) -> int:
-        node = self._next_node
-        self.ensure_node(node)
-        return node
+        self.out_partners: dict[int, dict[int, None]] = {}  # targets by source
+        self.in_partners: dict[int, dict[int, None]] = {}  # sources by target
+        self.next_node = 0  # one past the largest node id seen
 
     def add_event(self, u: int, v: int) -> None:
-        self.ensure_node(u)
-        self.ensure_node(v)
-        if (u, v) not in self.projection:
-            self.projection.add((u, v))
-            self.out_partners.setdefault(u, []).append(v)
-            self.in_partners.setdefault(v, []).append(u)
+        for node in (u, v):
+            if node not in self.out_partners:
+                self.out_partners[node] = {}
+                self.in_partners[node] = {}
+                self.nodes.append(node)
+                self.next_node = max(self.next_node, node + 1)
+        self.out_partners[u][v] = self.in_partners[v][u] = None
 
 
 def select_edge_for_new_digit(state: OutputState, fixed_node: int,
@@ -201,15 +189,15 @@ def select_edge_for_new_digit(state: OutputState, fixed_node: int,
     is chosen, otherwise an existing edge off the fixed node is reused; the
     partner always lies outside ``motif_nodes`` so the emitted event
     realizes the sampled code. Falls back from reuse to creation, and from
-    creation to minting a brand-new node, so it always returns.
+    creation to a brand-new node (``next_node``, which the caller's
+    ``add_event`` registers), so it always returns.
     """
     table = state.out_partners if direction == "out" else state.in_partners
+    linked = table[fixed_node]
     if rng.random() >= state.new_edge_p:
-        candidates = [w for w in table.get(fixed_node, ())
-                      if w not in motif_nodes]
+        candidates = [w for w in linked if w not in motif_nodes]
         if candidates:
             return candidates[int(rng.integers(len(candidates)))]
-    linked = set(table.get(fixed_node, ()))
     nodes = state.nodes
     for _ in range(_PARTNER_TRIES):
         w = nodes[int(rng.integers(len(nodes)))]
@@ -218,7 +206,7 @@ def select_edge_for_new_digit(state: OutputState, fixed_node: int,
     candidates = [w for w in nodes if w not in motif_nodes and w not in linked]
     if candidates:
         return candidates[int(rng.integers(len(candidates)))]
-    return state.mint_node()
+    return state.next_node
 
 
 def _sample_next(row: dict[MotifCode, float], u: float) -> MotifCode | None:
@@ -250,10 +238,7 @@ def simulate(profile: TransitionProfile, cold_events: list[Event],
         nodes_v = [cold.src, cold.dst]
         code = CODE_01
         t = float(cold.t)
-        while code.l < profile.l_max:
-            row = profile.probs.get(code)
-            if not row:
-                break  # no observed continuation: certain stop
+        while row := profile.probs.get(code):  # no row, as at l_max: stop
             nxt = _sample_next(row, rng.random())
             if nxt is None:
                 break

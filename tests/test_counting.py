@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from motifgen import (MotifCode, TemporalGraph, count_motifs, count_spectra,
-                      extract_profile, global_stats)
+from motifgen import (Event, MotifCode, TemporalGraph, count_motifs,
+                      count_spectra, extract_profile, global_stats)
 from motifgen.counting import CHUNK_ROWS
 
 from helpers import oracle_count, random_stream, window_totals
@@ -52,6 +52,16 @@ def test_self_loops_are_dropped_where_a_graph_is_built():
         assert (extract_profile(g, delta=10, l_max=3)
                 == extract_profile(clean, delta=10, l_max=3))
         assert global_stats(g) == global_stats(clean)
+
+
+def test_constructor_builds_what_from_events_builds():
+    g = TemporalGraph(events=(Event(1, 1, 0), Event(1, 2, 1)))
+    assert g.dropped_self_loops == 1
+    assert count_motifs(g, 2, 10).counts == {}
+    unsorted = (Event(1, 2, 5), Event(2, 3, 1))
+    g = TemporalGraph(events=unsorted)
+    assert g == TemporalGraph.from_events(unsorted)
+    assert count_motifs(g, 2, 10).counts == {code("0120"): 1}
 
 
 def test_unsupported_l_rejected():

@@ -25,6 +25,7 @@ from motifgen.generation import (OutputState, _repair_wedge,
                                  select_edge_for_new_digit)
 
 from helpers import make_profile, random_stream
+from surrogate import desk_scale_stream
 
 
 def code(s: str) -> MotifCode:
@@ -297,6 +298,15 @@ def test_generated_bytes_are_pinned(tmp_path):
     for p in (profile, load_profile(path)):
         assert _digest(generate(p, GenerationConfig(seed=7))) == (
             "9debd06de04e158688984262aba265fa4fd64d9b78c5948dff0b669435f32f36")
+
+
+def test_generated_bytes_are_pinned_on_a_dense_stream():
+    # 843 new-edge picks and 139 reuses of an existing edge: both partner
+    # branches of select_edge_for_new_digit reach these bytes
+    g = desk_scale_stream(n_events=3000, mean_iet=10.0)
+    profile = extract_profile(g, delta=3600, l_max=4)
+    assert _digest(generate(profile, GenerationConfig(seed=7))) == (
+        "49b109212233dab9218426ddd1b6bd8b37db6c382ab748dd07143e2bacf607fa")
 
 
 # the toy stream of test_extraction at delta=5, l_max=3, as the version 1
