@@ -7,12 +7,15 @@ event subsets, not a partition). A graph holds no self-loop
 (building a :class:`~motifgen.events.TemporalGraph` drops them), so every
 event roots an instance of code ``01``. Counting grows all instances
 together, one event a level: every instance of ``k`` events is a row of
-numpy arrays, and its next events come from binary searches in a per-node
-time index, in time order (edge-driven expansion, Mackey et al., IEEE
-BigData 2018). Canonical
-digits are assigned as each event joins, so each instance lands directly on
-its type code. Rows are grown a chunk at a time, depth first, so memory is
-bounded by one chunk's growth, not by the number of instances.
+numpy arrays, and its next events are slices of a per-node time index, in
+time order (edge-driven expansion, Mackey et al., IEEE BigData 2018). Each
+slice is read off a table of every event's window on each of its two nodes;
+a row binary-searches only the windows that later events of a node have
+made stale. Canonical digits are assigned as each event joins, so each
+instance lands directly on its type code, kept as a dense id that one
+fixed-size tally per size counts. Rows are grown a chunk at a time, depth
+first, so memory is bounded by one chunk's growth, not by the number of
+instances.
 
 Growing to depth ``max(l_set)`` passes every shorter instance on its way, so
 :func:`count_spectra` records each size in ``l_set`` as it goes
@@ -25,10 +28,10 @@ are monotone in time, so then every event of the instance lies inside it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import add
+from math import factorial
+from operator import add, ne
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +41,7 @@ from .events import TemporalGraph
 
 MAX_COUNT_EVENTS = 4  # l >= 5 counting is out of scope
 CHUNK_ROWS = 1024  # frontier rows grown at once; bounds the memory of a step
+TABLE_ROWS = 16384  # index entries whose windows are searched at once
 
 
 @dataclass
@@ -66,35 +70,61 @@ def check_count_args(l_set: Sequence[int], delta_c: int) -> None:
         raise ValueError(f"delta_c must be positive, got {delta_c}")
 
 
-def _unpack(code: int, l: int) -> tuple[tuple[int, int], ...]:
-    """Digit pairs of a code packed by :func:`_count`, 6 bits a pair."""
-    return tuple(((code >> 6 * k + 3) & 7, (code >> 6 * k) & 7)
-                 for k in range(l - 1, -1, -1))
+def _extend_id(code_id, j: int, a, b):
+    """Tally id of a code after pair ``(a, b)`` joins as its event ``j`` (from
+    1), on ints or arrays. Mixed-radix: event ``j``'s digits lie in ``[0, j]``."""
+    return code_id * (j + 1) ** 2 + a * (j + 1) + b
+
+
+def _tally_width(l: int) -> int:
+    """Number of tally ids of size ``l``: 9, 144 and 3,600 at l = 2, 3, 4."""
+    return (factorial(l + 1) // 2) ** 2
+
+
+def _decode(code_id: int, l: int) -> MotifCode:
+    """The code of size ``l`` that :func:`_extend_id` gives ``code_id``."""
+    pairs = []
+    for j in range(l, 1, -1):
+        code_id, pair = divmod(code_id, (j + 1) ** 2)
+        pairs.append(divmod(pair, j + 1))
+    return MotifCode(((0, 1), *reversed(pairs)))
 
 
 def _count(g: TemporalGraph, levels: tuple[int, ...], delta_c: int,
-           inclusive: bool, window_count: int) -> tuple[list[Counter], list[list[int]]]:
-    """Counts of the packed codes, and window totals, at every size in ``levels``.
+           inclusive: bool, window_count: int
+           ) -> tuple[dict[int, np.ndarray], list[list[int]]]:
+    """Tallies by code id, and window totals, at every size in ``levels``.
 
-    The index is ``node_rank * m + event`` for both ends of each of the ``m``
-    events, sorted. Events are in time order, so a node's events in a time
-    range are one slice of it. Timestamps and node ids stay Python ints: only
-    node ranks and event indices enter numpy, so no value the parser accepts
-    can overflow it.
+    The ends of the ``m`` events are numbered ``2 * event + side``, side 0
+    for the source, and ``flat`` holds each end's node rank. The index
+    (``order``) lists every end grouped by node, in time order within a
+    node, so a node's events in a time range are one slice of it; its sort
+    key is ``node_rank * m + event``. Timestamps and node ids stay Python
+    ints: only node ranks and event indices enter numpy, so no value the
+    parser accepts can overflow it. Per end, ``lo_at`` is the index entry of
+    the node's first event after the event's timestamp and ``hi_at`` that of
+    its first event beyond the event's ceiling.
     A row of the frontier is one instance: its root, its last event, its
-    code, which packs each digit pair (a, b) as a << 3 | b, and its nodes in
-    digit order, -1 padded.
+    code id, its nodes in digit order and, per node, a cursor: the latest
+    event of the instance on that node (-1 padded both). A node's next events
+    lie between its first entry after the last event's timestamp and its
+    first beyond that event's ceiling. Read at the cursor's end, these bounds
+    fall short only where the node has events of its own between the
+    cursor's event and the last event (the lower bound) or between their
+    ceilings (the upper); only such stale bounds are binary-searched.
     """
-    counts = [Counter() for _ in range(levels[-1] + 1)]
-    windows = np.zeros((len(counts), window_count), np.int64)
+    tallies = {l: np.zeros(_tally_width(l), np.int64) for l in levels}
+    windows = np.zeros((levels[-1] + 1, window_count), np.int64)
     m = len(g.events)
     ts = [e.t for e in g.events]
-    ends = [e.src for e in g.events] + [e.dst for e in g.events]
+    ends = [node for e in g.events for node in (e.src, e.dst)]
     rank = {node: r for r, node in enumerate(dict.fromkeys(ends))}
-    pairs = np.fromiter(map(rank.__getitem__, ends), np.int32, 2 * m).reshape(2, m)
-    src, dst = pairs
-    # the events after each event's timestamp, then those within its ceiling
-    after = np.fromiter(map(bisect_right, repeat(ts), ts), np.int32, m)
+    flat = np.fromiter(map(rank.__getitem__, ends), np.int32, 2 * m)
+    # the events after each event's timestamp, past the end of its run of
+    # equal timestamps, then those within its ceiling
+    tie = np.zeros(m, np.int32)
+    np.cumsum(np.fromiter(map(ne, ts[1:], ts), np.int32, m - 1), out=tie[1:])
+    after = np.searchsorted(tie, tie, side="right").astype(np.int32)
     within = bisect_right if inclusive else bisect_left
     end = np.fromiter(map(within, repeat(ts), map(add, ts, repeat(delta_c))), np.int32, m)
     if window_count:  # a window is a run of events: find where each starts
@@ -102,50 +132,77 @@ def _count(g: TemporalGraph, levels: tuple[int, ...], delta_c: int,
         starts = [bisect_left(ts, w, key=lambda t: (t - t0) * window_count // span)
                   for w in range(1, window_count)]
         window_of = np.repeat(np.arange(window_count), np.diff([0, *starts, m]))
-    del ts, ends, rank  # only the arrays live on while rows grow
-    roots = np.arange(m, dtype=np.int32)
-    key = np.multiply(pairs, m, dtype=np.int64)
-    key += roots
-    key = key.ravel()
-    key.sort()
-    code = np.ones(m, np.int32)  # 1 packs (0, 1)
-    stack = [(1, roots, roots, code, pairs.T)]
+    del ts, ends, rank, tie  # only the tables live on while rows grow
+    order = np.argsort(flat, kind="stable").astype(np.int32)
+    key = np.empty(2 * m + 1, np.int64)
+    np.multiply(flat[order], m, out=key[:-1])
+    key[:-1] += order >> 1
+    key[-1] = np.iinfo(np.int64).max  # a sentinel ends it
+    lo_at, hi_at = np.empty((2, 2 * m), np.int32)
+    for i in range(0, 2 * m, TABLE_ROWS):  # in index order: the searches come sorted
+        part = order[i:i + TABLE_ROWS]
+        e = part >> 1
+        base = key[i:i + len(part)] - e
+        lo_at[part] = np.searchsorted(key, base + after[e])
+        hi_at[part] = np.searchsorted(key, base + end[e])
+    roots = np.arange(m, dtype=np.int32)  # a root is the cursor of both its nodes
+    stack = [(1, roots, roots, np.zeros(m, np.int32), flat.reshape(m, 2),
+              np.broadcast_to(roots[:, None], (m, 2)))]
     while stack:
-        size, root, last, code, nodes = stack.pop()
+        size, root, last, code, nodes, cursor = stack.pop()
         if len(root) > CHUNK_ROWS:
             stack.extend((size, root[i:i + CHUNK_ROWS], last[i:i + CHUNK_ROWS],
-                          code[i:i + CHUNK_ROWS], nodes[i:i + CHUNK_ROWS])
+                          code[i:i + CHUNK_ROWS], nodes[i:i + CHUNK_ROWS],
+                          cursor[i:i + CHUNK_ROWS])
                          for i in range(0, len(root), CHUNK_ROWS))
             continue
         valid = nodes >= 0
-        fresh = valid.sum(1)  # each row's next unused digit
+        fresh = valid.sum(1, dtype=np.int8)  # each row's next unused digit
         row, slot = np.nonzero(valid)
-        node = nodes[row, slot]
+        node, at = nodes[row, slot], 2 * cursor[row, slot]
+        at += flat[at] != node  # the end of the node's latest event
+        lo, hi = lo_at[at], hi_at[at]
         base = np.multiply(node, m, dtype=np.int64)
-        lo = np.searchsorted(key, base + after[last[row]])
-        n = np.searchsorted(key, base + end[last[row]]) - lo
-        row, slot, node = np.repeat(row, n), np.repeat(slot, n), np.repeat(node, n)
-        e = key[np.arange(len(row)) + np.repeat(lo - np.cumsum(n) + n, n)] % m
-        from_src = node == src[e]  # found in its source's list
-        other = np.where(from_src, dst[e], src[e])
-        hit = nodes[row] == other[:, None]
-        known = hit.any(1)
-        digit = np.where(known, hit.argmax(1), fresh[row])
-        code = code[row] << 6 | np.where(from_src, slot << 3 | digit, digit << 3 | slot)
-        keep = from_src | ~known  # found in both lists of two held nodes: once
-        row, e, code, new = (a[keep] for a in (row, e, code, np.where(known, -1, other)))
+        prev = last[row]
+        # a bound read at the cursor is stale where its entry falls short
+        for bound, limit in ((lo, after), (hi, end)):
+            bound_key = base + limit[prev]
+            stale = np.flatnonzero(key[bound] < bound_key)
+            bound[stale] = np.searchsorted(key, bound_key[stale])
+        n = hi - lo
+        row, slot = np.repeat(row, n), np.repeat(slot.astype(np.int8), n)
+        found = order[np.arange(len(row)) + np.repeat(lo - np.cumsum(n) + n, n)]
+        found_src, found_other = (found & 1) == 0, flat[found ^ 1]
+        digit = fresh[row]  # the other end's digit: held, or the next unused
+        known = np.zeros(len(row), bool)
+        for held_digit, column in enumerate(nodes.T):
+            hit = column[row] == found_other
+            digit[hit] = held_digit
+            known |= hit
+        # an event found in the lists of two held nodes counts once
+        keep = np.flatnonzero(found_src | ~known)
+        row, slot, found, found_src, found_other, digit = (
+            a[keep] for a in (row, slot, found, found_src, found_other, digit))
+        e = found >> 1
+        code = _extend_id(code[row], size + 1, np.where(found_src, slot, digit),
+                          np.where(found_src, digit, slot))
         size += 1
         if size in levels:
-            codes, tally = np.unique(code, return_counts=True)
-            counts[size].update(dict(zip(codes.tolist(), tally.tolist())))
+            tallies[size] += np.bincount(code, minlength=len(tallies[size]))
             if window_count:
                 w = window_of[root[row]]
                 windows[size] += np.bincount(w[w == window_of[e]], minlength=window_count)
         if size < levels[-1] and len(e):
-            held = np.pad(nodes[row], ((0, 0), (0, 1)), constant_values=-1)
-            held[np.arange(len(e)), fresh[row]] = new
-            stack.append((size, root[row], e, code, held))
-    return counts, windows.tolist()
+            grown = np.arange(len(e))
+            held = np.full((len(e), nodes.shape[1] + 1), -1, np.int32)
+            held[:, :-1] = nodes[row]
+            held[grown, digit] = found_other
+            latest = np.full(held.shape, -1, np.int32)
+            latest[:, :-1] = cursor[row]
+            latest[grown, slot] = e
+            latest[grown, digit] = e
+            stack.append((size, root[row], e, code, held, latest))
+    return tallies, windows.tolist()
 
 
 def count_spectra(g: TemporalGraph, l_set: Sequence[int], delta_c: int,
@@ -160,9 +217,9 @@ def count_spectra(g: TemporalGraph, l_set: Sequence[int], delta_c: int,
     if window_count < 0:
         raise ValueError(f"window_count must not be negative, got {window_count}")
     levels = tuple(sorted(set(l_set)))
-    counts, windows = _count(g, levels, delta_c, inclusive, window_count)
-    return {l: SpectrumCounts({MotifCode(_unpack(code, l)): c
-                               for code, c in counts[l].items()}, windows[l])
+    tallies, windows = _count(g, levels, delta_c, inclusive, window_count)
+    return {l: SpectrumCounts({_decode(code_id, l): count for code_id, count
+                               in enumerate(tallies[l].tolist()) if count}, windows[l])
             for l in levels}
 
 

@@ -4,8 +4,9 @@ Each test prints a PASS/FAIL line with the measured values (run pytest with
 ``-s`` to see them on success). Criteria 6-8 are defined on the public
 CollegeMsg dataset; place it at ``data/CollegeMsg.txt`` to run them there
 (they skip loudly when it is absent, e.g. in offline environments) and they
-always run against the bundled deterministic desk-scale surrogate stream as
-well, at the same tolerances.
+always run against the bundled deterministic desk-scale surrogate stream and
+the same stream 27x denser in time (``mean_iet=10``) as well, at the same
+tolerances.
 """
 
 import hashlib
@@ -79,6 +80,8 @@ def _bundle(kind: str) -> dict:
                 "the SNAP CollegeMsg edge list there to run this criterion "
                 "on the public dataset (offline sandboxes cannot fetch it)")
         g = load_events(COLLEGEMSG_PATH)
+    elif kind == "dense":  # the same generator 27x denser in time
+        g = desk_scale_stream(mean_iet=10)
     else:
         g = desk_scale_stream()
 
@@ -105,7 +108,7 @@ def _bundle(kind: str) -> dict:
     return _BUNDLES[kind]
 
 
-@pytest.fixture(params=["surrogate", "collegemsg"])
+@pytest.fixture(params=["surrogate", "collegemsg", "dense"])
 def dataset(request):
     return request.param, _bundle(request.param)
 

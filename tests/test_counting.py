@@ -5,8 +5,9 @@ import random
 import pytest
 
 from motifgen import (Event, MotifCode, TemporalGraph, count_motifs,
-                      count_spectra, extract_profile, global_stats)
-from motifgen.counting import CHUNK_ROWS
+                      count_spectra, enumerate_codes, extract_profile,
+                      global_stats)
+from motifgen.counting import CHUNK_ROWS, _decode, _extend_id, _tally_width
 
 from helpers import oracle_count, random_stream, window_totals
 from surrogate import desk_scale_stream
@@ -146,6 +147,45 @@ def test_by_string_is_sorted_and_complete():
     rendered = counts.by_string()
     assert sum(rendered.values()) == counts.total
     assert list(rendered) == sorted(rendered)
+
+
+@pytest.mark.parametrize("inclusive", [True, False])
+def test_stale_windows_of_a_node_off_the_last_event(inclusive):
+    """Node 1 joins with the root and then has events of its own that no
+    instance through (2, 3, 3) takes: before it, on its timestamp, on the
+    root's ceiling and between the root's ceiling and the last event's.
+    Its window at the root event is then stale at both bounds."""
+    g = TemporalGraph.from_events([
+        (1, 2, 0),  # the root
+        (1, 5, 1),  # 1's own event between the instance's events
+        (2, 3, 3),  # the last event, on 2 and 3 only
+        (1, 5, 3),  # tied with the last event: never after it
+        (1, 4, 5),  # on the root's ceiling
+        (1, 5, 6),  # past the root's ceiling, within the last event's
+        (4, 1, 8),  # on the last event's ceiling
+        (1, 3, 9),  # past it
+        (3, 2, 9),
+    ])
+    for l in (2, 3, 4):
+        assert count_motifs(g, l, 5, inclusive).counts \
+            == oracle_count(g, l, 5, inclusive), f"l={l}"
+    spectra = count_spectra(g, (2, 3, 4), 5, inclusive, window_count=3)
+    for l in (2, 3, 4):
+        assert spectra[l].windows == window_totals(g, l, 5, 3, inclusive)
+
+
+def test_code_ids_are_dense_and_decode():
+    for l in (2, 3, 4):
+        ids = set()
+        for c in enumerate_codes(l):
+            code_id = 0
+            for j, (a, b) in enumerate(c.pairs[1:], 2):
+                code_id = _extend_id(code_id, j, a, b)
+            assert 0 <= code_id < _tally_width(l)
+            assert _decode(code_id, l) == c
+            ids.add(code_id)
+        assert len(ids) == len(enumerate_codes(l))
+    assert [_tally_width(l) for l in (2, 3, 4)] == [9, 144, 3600]
 
 
 # ------------------------------------------------------- one-pass spectra
