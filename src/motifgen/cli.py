@@ -15,8 +15,8 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .codec import enumerate_codes, transition_type_count
-from .counting import count_motifs
+from .codec import MAX_SPECTRUM_EVENTS, enumerate_codes, transition_type_count
+from .counting import MAX_COUNT_EVENTS, count_motifs
 from .events import TemporalGraph, load_events, write_events
 from .extraction import (cold_event_fraction, extract_profile, load_profile,
                          observed_transition_type_count, save_profile)
@@ -37,15 +37,11 @@ def main():
 
 
 @main.command()
-@click.option("--l", "l", type=int, required=True,
-              help="Motif size (number of events).")
+@click.option("--l", "l", type=click.IntRange(1, MAX_SPECTRUM_EVENTS),
+              required=True, help="Motif size (number of events).")
 def spectrum(l: int):
     """Print every motif type code of size L, one per line."""
-    try:
-        codes = enumerate_codes(l)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    for code in codes:
+    for code in enumerate_codes(l):
         click.echo(code.render())
 
 
@@ -113,8 +109,10 @@ def _run_path(template: str, index: int) -> Path:
 
 @main.command()
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--l", "l", type=int, required=True, help="Motif size.")
-@click.option("--delta-c", type=int, default=DEFAULT_DELTA_C, show_default=True,
+@click.option("--l", "l", type=click.IntRange(2, MAX_COUNT_EVENTS),
+              required=True, help="Motif size.")
+@click.option("--delta-c", type=click.IntRange(min=1), default=DEFAULT_DELTA_C,
+              show_default=True,
               help="Max gap between consecutive motif events, seconds.")
 @click.option("--delta-c-inclusive/--delta-c-exclusive", default=True,
               show_default=True, help="Whether a gap equal to the limit counts.")
@@ -126,10 +124,7 @@ def count(input_path: str, l: int, delta_c: int, delta_c_inclusive: bool,
           fmt: str, out_path: str | None):
     """Count temporal motif instances per type."""
     g = _load(input_path)
-    try:
-        counts = count_motifs(g, l, delta_c, inclusive=delta_c_inclusive)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    counts = count_motifs(g, l, delta_c, inclusive=delta_c_inclusive)
     if fmt == "json":
         doc = {"l": l, "delta_c": delta_c, "inclusive": delta_c_inclusive,
                "total": counts.total, "counts": counts.by_string()}
@@ -166,10 +161,12 @@ def stats(input_path: str, fmt: str, out_path: str | None):
 @click.argument("original", type=click.Path(exists=True, dir_okay=False))
 @click.argument("synthetics", nargs=-1, required=True,
                 type=click.Path(exists=True, dir_okay=False))
-@click.option("--delta-c", type=int, default=DEFAULT_DELTA_C, show_default=True)
-@click.option("--l", "l_set", type=int, multiple=True, default=(2, 3),
-              show_default=True, help="Motif sizes to compare (repeatable).")
-@click.option("--windows", type=int, default=10, show_default=True,
+@click.option("--delta-c", type=click.IntRange(min=1), default=DEFAULT_DELTA_C,
+              show_default=True)
+@click.option("--l", "l_set", type=click.IntRange(2, MAX_COUNT_EVENTS),
+              multiple=True, default=(2, 3), show_default=True,
+              help="Motif sizes to compare (repeatable).")
+@click.option("--windows", type=click.IntRange(min=1), default=10, show_default=True,
               help="Equal-duration windows for the motif trend.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False),
               required=True, help="Report JSON path.")
@@ -184,8 +181,8 @@ def compare(original: str, synthetics: tuple[str, ...], delta_c: int,
     try:
         report = compare_report(orig, synths, delta_c=delta_c, l_set=l_set,
                                 window_count=windows)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    except ValueError as exc:  # e.g. an empty edge list
+        raise click.ClickException(str(exc))
     Path(out_path).write_text(json.dumps(report, indent=1) + "\n",
                               encoding="ascii")
     if fmt == "csv":

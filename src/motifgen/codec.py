@@ -26,31 +26,22 @@ STOP = None  # the terminal state of a transition process
 
 
 def _check_pairs(pairs: Sequence[Pair]) -> None:
-    if not pairs:
-        raise MotifEncodingError("a motif code needs at least one event pair")
-    if pairs[0] != (0, 1):
-        raise MotifEncodingError(f"first pair must be (0, 1), got {pairs[0]}")
-    next_digit = 2
-    seen = {0, 1}
+    """The one rule of a code: the first pair is ``(0, 1)``, and each later
+    pair joins two distinct digits in ``[0, n]``, where ``n`` is the number
+    of digits in use; a pair that holds ``n`` puts it in use."""
+    if not pairs or pairs[0] != (0, 1):
+        raise MotifEncodingError(f"a code starts with the pair (0, 1), got {pairs!r}")
+    n = 2
     for s, d in pairs[1:]:
-        if s == d:
-            raise MotifEncodingError(f"self-pair ({s}, {d}) is not encodable")
-        for digit in (s, d):  # source digit is assigned before target
-            if digit > next_digit:
-                raise MotifEncodingError(
-                    f"digit {digit} appears before {next_digit}")
-            if digit == next_digit:
-                next_digit += 1
-        if s not in seen and d not in seen:
+        if s == d or not (0 <= s <= n and 0 <= d <= n):
             raise MotifEncodingError(
-                f"pair ({s}, {d}) does not touch any earlier node")
-        seen.add(s)
-        seen.add(d)
+                f"pair ({s}, {d}) does not join two distinct digits in [0, {n}]")
+        n += n in (s, d)
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, order=True)
 class MotifCode:
-    """Canonical code of one temporal motif type (immutable, hashable)."""
+    """Canonical code of one temporal motif type (immutable, hashable, ordered)."""
 
     pairs: tuple[Pair, ...]
 
@@ -102,35 +93,21 @@ CODE_01 = MotifCode(((0, 1),))
 
 
 def encode(events: Iterable[Event | tuple]) -> MotifCode:
-    """Canonical code of an ordered, prefix-connected event list."""
+    """Canonical code of an ordered, prefix-connected event list; for any other
+    list (a self-loop, a disconnected event, no event) ``MotifCode`` raises."""
     digit_of: dict[int, int] = {}
     pairs: list[Pair] = []
     for ev in events:
         u, v = ev[0], ev[1]
-        if u == v:
-            raise MotifEncodingError(f"self-loop event on node {u}")
-        if pairs and u not in digit_of and v not in digit_of:
-            raise MotifEncodingError(
-                f"event ({u}, {v}) shares no node with the earlier events")
         if u not in digit_of:
             digit_of[u] = len(digit_of)
         if v not in digit_of:
             digit_of[v] = len(digit_of)
         pairs.append((digit_of[u], digit_of[v]))
-    if not pairs:
-        raise MotifEncodingError("cannot encode an empty event list")
     return MotifCode(tuple(pairs))
 
 
 MAX_SPECTRUM_EVENTS = 6  # spectrum growth is combinatorial; larger l has no use here
-
-
-def _extensions(n: int) -> list[Pair]:
-    """All admissible next pairs for a code with ``n`` nodes (n(n+1) of them)."""
-    pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
-    pairs += [(n, d) for d in range(n)]
-    pairs += [(s, n) for s in range(n)]
-    return pairs
 
 
 @lru_cache(maxsize=None)
@@ -140,8 +117,8 @@ def _enumerate_pairs(l: int) -> tuple[tuple[Pair, ...], ...]:
     out = []
     for prefix in _enumerate_pairs(l - 1):
         n = max(max(p) for p in prefix) + 1
-        for ext in _extensions(n):
-            out.append(prefix + (ext,))
+        out += (prefix + ((s, d),) for s in range(n + 1) for d in range(n + 1)
+                if s != d)
     return tuple(out)
 
 
@@ -152,9 +129,7 @@ def enumerate_codes(l: int) -> list[MotifCode]:
     """
     if not 1 <= l <= MAX_SPECTRUM_EVENTS:
         raise ValueError(f"l must be in [1, {MAX_SPECTRUM_EVENTS}], got {l}")
-    codes = [MotifCode(p) for p in _enumerate_pairs(l)]
-    codes.sort(key=lambda c: c.pairs)
-    return codes
+    return sorted(MotifCode(p) for p in _enumerate_pairs(l))
 
 
 def transition_type_count(l_max: int) -> int:

@@ -56,8 +56,7 @@ class SpectrumCounts:
         return sum(self.counts.values())
 
     def by_string(self) -> dict[str, int]:
-        return {code.render(): c for code, c in sorted(
-            self.counts.items(), key=lambda kv: kv[0].pairs)}
+        return {code.render(): c for code, c in sorted(self.counts.items())}
 
 
 def check_count_args(l_set: Sequence[int], delta_c: int) -> None:

@@ -172,7 +172,7 @@ def compare_report(original: TemporalGraph, synthetics: Sequence[TemporalGraph],
         codes = set(orig_counts.counts)
         for sc in synth_counts:
             codes.update(sc.counts)
-        for code in sorted(codes, key=lambda c: c.pairs):
+        for code in sorted(codes):
             replica = [sc.counts.get(code, 0) for sc in synth_counts]
             orig_c = orig_counts.counts.get(code, 0)
             per_code[code.render()] = (msre(replica, orig_c)

@@ -184,6 +184,16 @@ def window_totals(g: TemporalGraph, l: int, delta_c: int, window_count: int,
     return totals
 
 
+def time_shuffled(g: TemporalGraph, seed: int) -> TemporalGraph:
+    """The time-shuffled null model: ``g``'s events with their timestamps
+    permuted. It keeps the static graph and the timestamp multiset, so only
+    the order of events, and with it the motifs, is random."""
+    ts = [e.t for e in g.events]
+    random.Random(seed).shuffle(ts)
+    return TemporalGraph.from_events(
+        Event(e.src, e.dst, t) for e, t in zip(g.events, ts))
+
+
 # ----------------------------------------------------------------- profiles
 
 def make_profile(probs: dict[str, dict[str, float]],

@@ -49,6 +49,7 @@ from helpers import (
     oracle_extract,
     profile_counts_as_oracle,
     random_stream,
+    time_shuffled,
 )
 from surrogate import desk_scale_stream
 
@@ -58,6 +59,8 @@ L_MAX = 4
 DELTA = 3600
 DELTA_C = 3600
 RUNS = 10
+MOTIF_SIZES = (2, 3, 4)
+NULL_SEEDS = (0, 1, 2)
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -260,27 +263,60 @@ def test_criterion_7_distribution_fidelity(dataset):
             f"{ {k: round(v, 3) for k, v in means.items()} }")
 
 
+def _motif_totals(g) -> dict[int, int]:
+    spectra = count_spectra(g, MOTIF_SIZES, DELTA_C)  # one walk for every l
+    return {l: spectra[l].total for l in MOTIF_SIZES}
+
+
+def _motif_msre(orig: dict[int, int], replicas: list[dict[int, int]]
+                ) -> dict[int, float | None]:
+    """MSRE per size of the replicas' totals; ``None`` where one is zero."""
+    return {l: (msre([r[l] for r in replicas], orig[l])
+                if all(r[l] for r in replicas) else None) for l in MOTIF_SIZES}
+
+
+def _bundle_motif_totals(bundle: dict) -> tuple[dict, list[dict]]:
+    """The original's and the replicas' totals, counted once for criterion 8
+    and the null."""
+    if "motif_totals" not in bundle:
+        bundle["motif_totals"] = (_motif_totals(bundle["graph"]),
+                                  [_motif_totals(s) for s in bundle["synthetics"]])
+    return bundle["motif_totals"]
+
+
+def _rounded(results: dict) -> dict:
+    return {l: (None if v is None else round(v, 4)) for l, v in results.items()}
+
+
 def test_criterion_8_motif_fidelity(dataset):
     kind, bundle = dataset
-    g = bundle["graph"]
-    outs = bundle["synthetics"]
-    sizes = (2, 3, 4)
-    orig = count_spectra(g, sizes, DELTA_C)  # one walk per graph for every l
-    synths = [count_spectra(s, sizes, DELTA_C) for s in outs]
-    results = {}
-    for l in sizes:
-        orig_total = orig[l].total
-        synth_totals = [sp[l].total for sp in synths]
-        results[l] = (msre(synth_totals, orig_total) if all(synth_totals)
-                      else None)
+    results = _motif_msre(*_bundle_motif_totals(bundle))
     ok = (results[2] is not None and results[2] <= 0.5
           and results[3] is not None and results[3] <= 1.0)
-    shown = {l: (None if v is None else round(v, 4))
-             for l, v in results.items()}
+    shown = _rounded(results)
     _report(f"criterion 8 (motif count fidelity, {kind})", ok,
             f"MSRE over {RUNS} runs at delta_c={DELTA_C}s: 2-event "
             f"{shown[2]} (<=0.5), 3-event {shown[3]} (<=1.0), 4-event "
             f"{shown[4]} (reported, not gated)")
+
+
+@pytest.mark.parametrize("kind", ["surrogate", "dense"])
+def test_criterion_8_beats_the_time_shuffled_null(kind):
+    """A reference point for criterion 8's MSRE (Gauvin et al., SIAM Review
+    2022): the original with its timestamps permuted keeps its static graph
+    and timestamp multiset, so it shows what the motif counts owe to the
+    order of events alone. MTM must have the lower MSRE at l = 2 and 3."""
+    bundle = _bundle(kind)
+    orig, replicas = _bundle_motif_totals(bundle)
+    mtm = _motif_msre(orig, replicas)
+    null = _motif_msre(orig, [_motif_totals(time_shuffled(bundle["graph"], seed))
+                              for seed in NULL_SEEDS])
+    ok = all(mtm[l] is not None and null[l] is not None and mtm[l] < null[l]
+             for l in (2, 3))
+    _report(f"criterion 8 against the time-shuffled null ({kind})", ok,
+            f"MSRE of MTM over {RUNS} runs {_rounded(mtm)} against "
+            f"{len(NULL_SEEDS)} time shuffles (seeds {NULL_SEEDS}) "
+            f"{_rounded(null)}; gated at l = 2, 3, l = 4 reported only")
 
 
 # -------------------------------------------------------------- criterion 9

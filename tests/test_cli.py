@@ -291,6 +291,17 @@ def test_compare_rejects_bad_arguments(tmp_path, option, value):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_compare_rejects_an_empty_edge_list(tmp_path):
+    empty = write_toy(tmp_path, "empty.txt", content="# x\n")
+    toy = write_toy(tmp_path)
+    result = run("compare", empty, toy, "--out", tmp_path / "r.json")
+    assert result.exit_code == 1  # a fault of the data, not of the usage
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "Usage:" not in result.output
+    assert result.output.startswith("Error: ")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_malformed_input_nonzero_exit(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2\n")

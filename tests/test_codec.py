@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -28,6 +29,8 @@ def test_encode_rejects_self_loop_and_disconnected():
     with pytest.raises(MotifEncodingError):
         encode([(1, 1, 0)])
     with pytest.raises(MotifEncodingError):
+        encode([(1, 2, 0), (2, 2, 1)])  # a self-loop after the first event
+    with pytest.raises(MotifEncodingError):
         encode([(1, 2, 0), (3, 4, 1)])
     with pytest.raises(MotifEncodingError):
         encode([])
@@ -39,6 +42,20 @@ def test_code_invariants_rejected():
             code(bad)
     with pytest.raises(MotifEncodingError):
         MotifCode(((0, 1), (2, 3)))  # new pair touching nothing
+
+
+def test_code_rule_accepts_exactly_the_enumerated_codes():
+    """Brute force: of every tuple of ``l`` pairs with digits in -1..l, the
+    constructor accepts just the codes ``enumerate_codes`` lists."""
+    for l in (1, 2, 3):
+        pairs = list(itertools.product(range(-1, l + 1), repeat=2))
+        accepted = set()
+        for candidate in itertools.product(pairs, repeat=l):
+            try:
+                accepted.add(MotifCode(candidate))
+            except MotifEncodingError:
+                pass
+        assert accepted == set(enumerate_codes(l)), f"l={l}"
 
 
 def test_spectrum_cardinalities():

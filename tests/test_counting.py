@@ -2,6 +2,7 @@ import gc
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from motifgen import (Event, MotifCode, TemporalGraph, count_motifs,
@@ -149,29 +150,50 @@ def test_by_string_is_sorted_and_complete():
     assert list(rendered) == sorted(rendered)
 
 
+STALE_STREAM = [
+    (1, 2, 0),  # the root
+    (1, 5, 1),  # 1's own event between the instance's events
+    (2, 3, 3),  # the last event, on 2 and 3 only
+    (1, 5, 3),  # tied with the last event: never after it
+    (1, 4, 5),  # on the root's ceiling
+    (1, 5, 6),  # past the root's ceiling, within the last event's
+    (4, 1, 8),  # on the last event's ceiling
+    (1, 3, 9),  # past it
+    (3, 2, 9),
+]
+
+
 @pytest.mark.parametrize("inclusive", [True, False])
 def test_stale_windows_of_a_node_off_the_last_event(inclusive):
     """Node 1 joins with the root and then has events of its own that no
     instance through (2, 3, 3) takes: before it, on its timestamp, on the
     root's ceiling and between the root's ceiling and the last event's.
     Its window at the root event is then stale at both bounds."""
-    g = TemporalGraph.from_events([
-        (1, 2, 0),  # the root
-        (1, 5, 1),  # 1's own event between the instance's events
-        (2, 3, 3),  # the last event, on 2 and 3 only
-        (1, 5, 3),  # tied with the last event: never after it
-        (1, 4, 5),  # on the root's ceiling
-        (1, 5, 6),  # past the root's ceiling, within the last event's
-        (4, 1, 8),  # on the last event's ceiling
-        (1, 3, 9),  # past it
-        (3, 2, 9),
-    ])
+    g = TemporalGraph.from_events(STALE_STREAM)
     for l in (2, 3, 4):
         assert count_motifs(g, l, 5, inclusive).counts \
             == oracle_count(g, l, 5, inclusive), f"l={l}"
     spectra = count_spectra(g, (2, 3, 4), 5, inclusive, window_count=3)
     for l in (2, 3, 4):
         assert spectra[l].windows == window_totals(g, l, 5, 3, inclusive)
+
+
+@pytest.mark.parametrize("inclusive, stale_needles", [(True, 48), (False, 32)])
+def test_cursors_stay_fresh(monkeypatch, inclusive, stale_needles):
+    """Counts stay exact with a stale cursor, which only costs searches: pin
+    the bounds re-searched beyond the ``5m`` that ``after`` and the window
+    tables take. A cursor that misses an update of the instance's latest
+    event on a node searches more."""
+    needles = []
+    searchsorted = np.searchsorted
+
+    def counted(a, v, *args, **kwargs):
+        needles.append(np.size(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    count_motifs(TemporalGraph.from_events(STALE_STREAM), 4, 5, inclusive)
+    assert sum(needles) - 5 * len(STALE_STREAM) == stale_needles
 
 
 def test_code_ids_are_dense_and_decode():
