@@ -8,9 +8,10 @@ Every randomized command takes a seed, which is recorded in the output.
 from __future__ import annotations
 
 import csv
+import io
 import json
-import sys
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import click
 
@@ -125,15 +126,9 @@ def count(input_path: str, l: int, delta_c: int, delta_c_inclusive: bool,
     """Count temporal motif instances per type."""
     g = _load(input_path)
     counts = count_motifs(g, l, delta_c, inclusive=delta_c_inclusive)
-    if fmt == "json":
-        doc = {"l": l, "delta_c": delta_c, "inclusive": delta_c_inclusive,
-               "total": counts.total, "counts": counts.by_string()}
-        text = json.dumps(doc, indent=1) + "\n"
-    else:
-        lines = ["code,count"]
-        lines += [f"{code},{c}" for code, c in counts.by_string().items()]
-        text = "\n".join(lines) + "\n"
-    _emit(text, out_path)
+    doc = {"l": l, "delta_c": delta_c, "inclusive": delta_c_inclusive,
+           "total": counts.total, "counts": counts.by_string()}
+    _emit(doc, ["code", "count"], doc["counts"].items(), fmt, out_path)
 
 
 @main.command()
@@ -149,12 +144,7 @@ def stats(input_path: str, fmt: str, out_path: str | None):
     except ValueError as exc:
         raise click.ClickException(str(exc))
     s["node_count"] = g.node_count
-    if fmt == "json":
-        text = json.dumps(s, indent=1) + "\n"
-    else:
-        lines = ["metric,value"] + [f"{k},{v}" for k, v in s.items()]
-        text = "\n".join(lines) + "\n"
-    _emit(text, out_path)
+    _emit(s, ["metric", "value"], s.items(), fmt, out_path)
 
 
 @main.command()
@@ -191,50 +181,49 @@ def compare(original: str, synthetics: tuple[str, ...], delta_c: int,
     click.echo(f"report written to {out_path}")
 
 
+def _shown(value: float | None, spec: str) -> str:
+    return "undefined" if value is None else format(value, spec)
+
+
 def _echo_summary(report: dict) -> None:
     click.echo(f"{'metric':<20}{'original':>14}{'synthetic':>14}{'ratio':>10}")
     gs = report["global_stats"]
     for metric in GLOBAL_METRICS:
-        ratio = gs["ratios"][metric]
-        shown = "undefined" if ratio is None else f"{ratio:.3f}"
         click.echo(f"{metric:<20}{gs['original'][metric]:>14.2f}"
-                   f"{gs['synthetic_mean'][metric]:>14.2f}{shown:>10}")
+                   f"{gs['synthetic_mean'][metric]:>14.2f}"
+                   f"{_shown(gs['ratios'][metric], '.3f'):>10}")
     for name, value in report["ks"].items():
-        click.echo(f"KS {name:<17}{value:>14.4f}")
+        click.echo(f"KS {name:<17}{_shown(value, '.4f'):>14}")
     for l, entry in report["msre"].items():
-        total = entry["total"]
-        shown = "undefined" if total is None else f"{total:.6f}"
-        click.echo(f"MSRE {l}-event motifs: {shown}")
+        click.echo(f"MSRE {l}-event motifs: {_shown(entry['total'], '.6f')}")
 
 
 def _write_csv_tables(report: dict, report_path: Path) -> None:
-    base = report_path.with_suffix("")
     gs = report["global_stats"]
-    with open(f"{base}_ratios.csv", "w", newline="", encoding="ascii") as fh:
-        w = csv.writer(fh)
-        w.writerow(["metric", "original", "synthetic_mean", "ratio"])
-        for metric in GLOBAL_METRICS:
-            w.writerow([metric, gs["original"][metric],
-                        gs["synthetic_mean"][metric], gs["ratios"][metric]])
-    with open(f"{base}_ks.csv", "w", newline="", encoding="ascii") as fh:
-        w = csv.writer(fh)
-        w.writerow(["distribution", "ks"])
-        for name, value in report["ks"].items():
-            w.writerow([name, value])
-    with open(f"{base}_msre.csv", "w", newline="", encoding="ascii") as fh:
-        w = csv.writer(fh)
-        w.writerow(["l", "code", "msre"])
-        for l, entry in report["msre"].items():
-            w.writerow([l, "total", entry["total"]])
-            for code, value in entry["per_code"].items():
-                w.writerow([l, code, value])
-    with open(f"{base}_windows.csv", "w", newline="", encoding="ascii") as fh:
-        w = csv.writer(fh)
-        w.writerow(["l", "window", "original", "synthetic_mean"])
-        for l, entry in report["window_trends"].items():
-            rows = zip(entry["original"], entry["synthetic_mean"])
-            for i, (orig_total, synth_total) in enumerate(rows):
-                w.writerow([l, i, orig_total, synth_total])
+    tables = {
+        "ratios": (["metric", "original", "synthetic_mean", "ratio"],
+                   [(m, gs["original"][m], gs["synthetic_mean"][m], gs["ratios"][m])
+                    for m in GLOBAL_METRICS]),
+        "ks": (["distribution", "ks"], report["ks"].items()),
+        "msre": (["l", "code", "msre"],
+                 [(l, code, value) for l, entry in report["msre"].items()
+                  for code, value in {"total": entry["total"],
+                                      **entry["per_code"]}.items()]),
+        "windows": (["l", "window", "original", "synthetic_mean"],
+                    [(l, i, *pair) for l, entry in report["window_trends"].items()
+                     for i, pair in enumerate(zip(entry["original"],
+                                                  entry["synthetic_mean"]))]),
+    }
+    base = report_path.with_suffix("")
+    for name, (header, rows) in tables.items():
+        Path(f"{base}_{name}.csv").write_text(_csv(header, rows), encoding="ascii")
+
+
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """One CSV table, every line ending in ``\\n``."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
 
 
 def _load(path: str) -> TemporalGraph:
@@ -244,11 +233,14 @@ def _load(path: str) -> TemporalGraph:
         raise click.ClickException(f"{path}: {exc}")
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(doc: dict, header: Sequence[str], rows: Iterable[Sequence],
+          fmt: str, out_path: str | None) -> None:
+    """Write ``doc`` as JSON, or ``rows`` under ``header`` as CSV."""
+    text = json.dumps(doc, indent=1) + "\n" if fmt == "json" else _csv(header, rows)
     if out_path:
         Path(out_path).write_text(text, encoding="ascii")
     else:
-        sys.stdout.write(text)
+        click.echo(text, nl=False)
 
 
 if __name__ == "__main__":

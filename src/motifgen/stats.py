@@ -101,19 +101,14 @@ def msre(synthetic_counts: Sequence[int], original_count: int) -> float:
         / len(synthetic_counts)
 
 
-def _degree_samples(g: TemporalGraph) -> tuple[list[int], list[int]]:
+def _samples(g: TemporalGraph) -> dict[str, list[int]]:
+    """In- and out-degrees, gaps and timestamps shifted to 0, by name."""
     in_out = degrees(static_projection(g)).values()
-    return [i for i, _o in in_out], [o for _i, o in in_out]
-
-
-def _iet_samples(g: TemporalGraph) -> list[int]:
     ts = [e.t for e in g.events]
-    return [b - a for a, b in zip(ts, ts[1:])]
-
-
-def _shifted_timestamps(g: TemporalGraph) -> list[int]:
-    t0 = g.events[0].t
-    return [e.t - t0 for e in g.events]
+    return {"in_degree": [i for i, _o in in_out],
+            "out_degree": [o for _i, o in in_out],
+            "iet": [b - a for a, b in zip(ts, ts[1:])],
+            "timestamp": [t - ts[0] for t in ts]}
 
 
 GLOBAL_METRICS = tuple(f.name for f in fields(GlobalStats))
@@ -126,8 +121,8 @@ def compare_report(original: TemporalGraph, synthetics: Sequence[TemporalGraph],
     """Full fidelity report of ``synthetics`` against ``original``.
 
     Emits the eight global-statistic ratios (synthetic mean over original),
-    the four KS statistics averaged over replicas, MSRE per motif size and
-    per motif type (``None`` where undefined), and per-window motif totals.
+    the four KS statistics averaged over replicas and MSRE per motif size and
+    per motif type (each ``None`` where undefined), and per-window totals.
     Each graph is counted once, for every size and window together, and a
     gap equal to ``delta_c`` is within the ceiling.
     """
@@ -144,18 +139,14 @@ def compare_report(original: TemporalGraph, synthetics: Sequence[TemporalGraph],
     ratios = {m: (mean_stats[m] / orig_stats[m]) if orig_stats[m] else None
               for m in GLOBAL_METRICS}
 
-    orig_in, orig_out = _degree_samples(original)
-    orig_iet = _iet_samples(original)
-    orig_ts = _shifted_timestamps(original)
-    ks_totals = dict.fromkeys(KS_DISTRIBUTIONS, 0.0)
-    for s in synthetics:
-        s_in, s_out = _degree_samples(s)
-        ks_totals["in_degree"] += ks_statistic(orig_in, s_in)
-        ks_totals["out_degree"] += ks_statistic(orig_out, s_out)
-        if orig_iet and len(s.events) > 1:
-            ks_totals["iet"] += ks_statistic(orig_iet, _iet_samples(s))
-        ks_totals["timestamp"] += ks_statistic(orig_ts, _shifted_timestamps(s))
-    ks_mean = {k: v / len(synthetics) for k, v in ks_totals.items()}
+    orig_samples = _samples(original)
+    per_replica = [{name: ks_statistic(orig_samples[name], sample)
+                    for name, sample in _samples(s).items()
+                    if orig_samples[name] and sample} for s in synthetics]
+    ks_mean: dict[str, float | None] = {}
+    for name in KS_DISTRIBUTIONS:  # over the replicas where both samples exist
+        values = [ks[name] for ks in per_replica if name in ks]
+        ks_mean[name] = sum(values) / len(values) if values else None
 
     orig_spectra = count_spectra(original, l_set, delta_c,
                                  window_count=window_count)

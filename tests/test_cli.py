@@ -234,6 +234,27 @@ def test_stats_outputs_all_metrics(tmp_path):
                 "max_events_on_edge", "node_count"):
         assert key in doc
     assert doc["event_count"] == 6
+    result = run("stats", toy, "--format", "csv")
+    assert result.output.splitlines() == [
+        "metric,value", "edge_count,5", "mean_degree,3.3333333333333335",
+        "n_components,1", "lcc_size,3", "event_count,6", "timespan_seconds,8",
+        "mean_iet,1.6", "max_events_on_edge,2", "node_count,3"]
+
+
+@pytest.mark.parametrize("args", [
+    ("count", "--l", 2, "--delta-c", 10),
+    ("count", "--l", 2, "--delta-c", 10, "--format", "csv"),
+    ("stats",),
+    ("stats", "--format", "csv"),
+], ids=["count_json", "count_csv", "stats_json", "stats_csv"])
+def test_out_writes_what_stdout_shows(tmp_path, args):
+    toy = write_toy(tmp_path)
+    shown = run(args[0], toy, *args[1:])
+    out = tmp_path / "out.txt"
+    written = run(args[0], toy, *args[1:], "--out", out)
+    assert shown.exit_code == written.exit_code == 0
+    assert written.output == ""
+    assert out.read_bytes() == shown.output.encode("ascii")
 
 
 def test_compare_self_is_zero_error(tmp_path):
@@ -255,8 +276,9 @@ def test_compare_prints_undefined_ratios(tmp_path):
     assert result.exit_code == 0, result.output
     ratios = json.loads(report_path.read_text())["global_stats"]["ratios"]
     assert ratios["timespan_seconds"] is None and ratios["mean_iet"] is None
+    assert json.loads(report_path.read_text())["ks"]["iet"] is None  # no gaps
     lines = result.output.splitlines()
-    for metric in ("timespan_seconds", "mean_iet"):
+    for metric in ("timespan_seconds", "mean_iet", "KS iet"):
         row = next(line for line in lines if line.startswith(metric))
         assert row.endswith(" undefined")
     assert lines[-1] == f"report written to {report_path}"
@@ -265,11 +287,29 @@ def test_compare_prints_undefined_ratios(tmp_path):
 def test_compare_csv_tables(tmp_path):
     toy = write_toy(tmp_path)
     report_path = tmp_path / "report.json"
-    result = run("compare", toy, toy, "--delta-c", 10, "--l", 2,
+    result = run("compare", toy, toy, "--delta-c", 10, "--l", 2, "--windows", 2,
                  "--out", report_path, "--format", "csv")
     assert result.exit_code == 0, result.output
-    for suffix in ("ratios", "ks", "msre", "windows"):
-        assert (tmp_path / f"report_{suffix}.csv").exists()
+    tables = {suffix: (tmp_path / f"report_{suffix}.csv").read_bytes()
+              for suffix in ("ratios", "ks", "msre", "windows")}
+    assert tables == {
+        "ratios": b"metric,original,synthetic_mean,ratio\n"
+                  b"edge_count,5,5.0,1.0\n"
+                  b"mean_degree,3.3333333333333335,3.3333333333333335,1.0\n"
+                  b"n_components,1,1.0,1.0\n"
+                  b"lcc_size,3,3.0,1.0\n"
+                  b"event_count,6,6.0,1.0\n"
+                  b"timespan_seconds,8,8.0,1.0\n"
+                  b"mean_iet,1.6,1.6,1.0\n"
+                  b"max_events_on_edge,2,2.0,1.0\n",
+        "ks": b"distribution,ks\n"
+              b"in_degree,0.0\nout_degree,0.0\niet,0.0\ntimestamp,0.0\n",
+        "msre": b"l,code,msre\n"
+                b"2,total,0.0\n2,0101,0.0\n2,0102,0.0\n2,0110,0.0\n"
+                b"2,0112,0.0\n2,0120,0.0\n2,0121,0.0\n",
+        "windows": b"l,window,original,synthetic_mean\n"
+                   b"2,0,1,1.0\n2,1,6,6.0\n",
+    }
 
 
 def test_compare_missing_synthetic_errors(tmp_path):
@@ -300,6 +340,10 @@ def test_compare_rejects_an_empty_edge_list(tmp_path):
     assert "Usage:" not in result.output
     assert result.output.startswith("Error: ")
     assert not (tmp_path / "r.json").exists()
+    result = run("stats", empty)
+    assert result.exit_code == 1
+    assert result.output == ("Error: global statistics are undefined for an "
+                             "empty graph\n")
 
 
 def test_malformed_input_nonzero_exit(tmp_path):

@@ -37,7 +37,7 @@ def test_encode_rejects_self_loop_and_disconnected():
 
 
 def test_code_invariants_rejected():
-    for bad in ["10", "0102" + "34", "0110" + "33"]:
+    for bad in ["10", "0102" + "34", "0110" + "33", "010"]:
         with pytest.raises(MotifEncodingError):
             code(bad)
     with pytest.raises(MotifEncodingError):
@@ -116,6 +116,10 @@ def test_render_parse_round_trip():
     for l in (2, 3, 4):
         for c in enumerate_codes(l):
             assert MotifCode.from_string(c.render()) == c
+    star = MotifCode(tuple((0, d) for d in range(1, 11)))  # 11 nodes: dotted
+    assert star.render() == "0.1-0.2-0.3-0.4-0.5-0.6-0.7-0.8-0.9-0.10"
+    assert MotifCode.from_string(star.render()) == star
+    assert repr(star) == f"MotifCode({star.render()})"
 
 
 def _random_chain(rng: random.Random, length: int) -> list[tuple[int, int, int]]:

@@ -10,7 +10,9 @@ from motifgen import (
     EdgeListValidationError,
     Event,
     TemporalGraph,
+    load_events,
     parse_events,
+    save_events,
     static_projection,
     write_events,
 )
@@ -66,10 +68,12 @@ def test_write_single_event_and_empty():
     assert write_events(TemporalGraph.from_events([])) == ""
 
 
-def test_round_trip_random_graph():
+def test_round_trip_random_graph(tmp_path):
     rng = random.Random(42)
     g = random_stream(rng, n_events=100, n_nodes=12, t_max=500)
     assert parse_events(write_events(g)).events == g.events
+    save_events(g, tmp_path / "g.txt")
+    assert load_events(tmp_path / "g.txt").events == g.events
 
 
 @settings(max_examples=100, deadline=None)
@@ -122,7 +126,6 @@ def test_graph_properties():
 
 def test_parse_collegemsg_when_available():
     from pathlib import Path
-    from motifgen import load_events
     path = Path(__file__).resolve().parent.parent / "data" / "CollegeMsg.txt"
     if not path.exists():
         pytest.skip(f"public dataset not present at {path}")

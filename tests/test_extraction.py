@@ -103,6 +103,7 @@ def test_rows_normalize_with_stop_mass():
             assert total == pytest.approx(1.0, abs=1e-9)
             assert all(0.0 <= p <= 1.0 for p in row.values())
             assert 0.0 <= profile.stop_probability(src) <= 1.0
+        assert profile.stop_probability(code("0101010101")) == 1.0  # no row
 
 
 def test_every_event_cold_or_extender():
@@ -338,12 +339,16 @@ EDGE_CASE_STREAMS = {
         2**62),
     "dense": lambda: desk_scale_stream(n_events=1500, n_nodes=300,
                                        mean_iet=10.0),
+    # one 10-event process of 11 nodes, whose codes the profile writes dotted
+    "star_l_max_10": lambda: TemporalGraph.from_events(
+        [(0, d, d) for d in range(1, 11)]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_CASE_STREAMS))
 def test_edge_case_profiles_round_trip(tmp_path, name):
-    profile = extract_profile(EDGE_CASE_STREAMS[name](), delta=3600, l_max=4)
+    l_max = 10 if name == "star_l_max_10" else 4
+    profile = extract_profile(EDGE_CASE_STREAMS[name](), delta=3600, l_max=l_max)
     path = tmp_path / "profile.json"
     save_profile(profile, path)
     loaded = load_profile(path)
@@ -377,11 +382,13 @@ _DELETE = object()
     (["t_ce"], ["1", 7], "cold timestamps: expected integers"),
     (["delta_t", "01", "0102"], [1, 1.0], "gap sums and counts: expected integers"),
     (["delta_t", "01", "0102"], [1, True], "gap sums and counts: expected integers"),
+    (["k_ce", 0], [0, 1, 0], "k_ce entries must be"),
+    (["counts", "01020304"], {"stop": 1}, "longer than l_max 3"),
 ], ids=["stub_balance", "weight_per_edge", "weights_positive", "weights_sum",
         "counts_positive", "dst_extends_src", "dst_within_l_max",
         "gap_count", "gap_without_count", "stop_total", "version",
         "missing_key", "wrong_type", "timestamp_type", "gap_count_float",
-        "gap_count_bool"])
+        "gap_count_bool", "degree_pair", "stop_beyond_l_max"])
 def test_broken_profile_rejected(path, value, message):
     doc = profile_to_dict(extract_profile(TOY_STREAM, delta=5, l_max=3))
     profile_from_dict(doc)  # the unbroken document loads

@@ -21,6 +21,7 @@ from motifgen import (
     simulate,
     write_events,
 )
+from motifgen import generation
 from motifgen.generation import (OutputState, _repair_wedge,
                                  select_edge_for_new_digit)
 
@@ -41,18 +42,24 @@ def test_forced_single_edge():
     assert [tuple(e) for e in events] == [(0, 1, 5)]
 
 
-def test_cold_events_preserve_timestamps_and_stub_totals():
+def test_cold_events_preserve_timestamps_and_stub_totals(monkeypatch):
     rng = random.Random(14)
     g = random_stream(rng, n_events=300, n_nodes=15, t_max=2000)
     profile = extract_profile(g, delta=100, l_max=3)
-    for seed in range(5):
-        events = generate_cold_events(profile, np.random.default_rng(seed))
-        assert len(events) == len(profile.t_ce)
-        assert sorted(e.t for e in events) == sorted(profile.t_ce)
-        assert sum(out for _ind, out in profile.k_ce) == len(
-            {(e.src, e.dst) for e in events})
-        assert all(e.src != e.dst for e in events)
-        assert [e.t for e in events] == sorted(e.t for e in events)
+    for scan_only in (False, True):
+        if scan_only:  # no whole-permutation or random-draw tries: every
+            # stub is placed by the scan tier of _match_stubs
+            monkeypatch.setattr(generation, "_SHUFFLE_TRIES", 0)
+            monkeypatch.setattr(generation, "_PAIR_TRIES", 0)
+        for seed in range(5):
+            events = generate_cold_events(profile, np.random.default_rng(seed))
+            assert len(events) == len(profile.t_ce)
+            assert sorted(e.t for e in events) == sorted(profile.t_ce)
+            # no pair dropped and none duplicated
+            assert sum(out for _ind, out in profile.k_ce) == len(
+                {(e.src, e.dst) for e in events})
+            assert all(e.src != e.dst for e in events)
+            assert [e.t for e in events] == sorted(e.t for e in events)
 
 
 def test_dropped_stub_pair_events_are_spread_over_placed_pairs():
@@ -148,14 +155,16 @@ def test_reuse_falls_back_to_creation_when_no_candidate():
         assert partner in {5, 6}  # outside motif, no (1, partner) edge yet
 
 
-def test_creation_branch_avoids_linked_and_motif_nodes():
+def test_creation_branch_avoids_linked_and_motif_nodes(monkeypatch):
     state = _state_with([(1, 2), (1, 3), (4, 5)], new_edge_p=1.0)
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        partner = select_edge_for_new_digit(state, 1, "out", {1, 2}, rng)
-        assert partner not in {1, 2}       # outside the motif
-        assert partner not in {2, 3}       # edge (1, partner) must be new
-        assert partner in {4, 5}
+    for partner_tries in (generation._PARTNER_TRIES, 0):  # 0: the full scan
+        monkeypatch.setattr(generation, "_PARTNER_TRIES", partner_tries)
+        for _ in range(50):
+            partner = select_edge_for_new_digit(state, 1, "out", {1, 2}, rng)
+            assert partner not in {1, 2}       # outside the motif
+            assert partner not in {2, 3}       # edge (1, partner) must be new
+            assert partner in {4, 5}
 
 
 def test_creation_mints_fresh_node_when_exhausted():

@@ -166,6 +166,23 @@ def test_msre_undefined_reported_as_none():
     assert report["msre"]["3"]["total"] is None
 
 
+def test_ks_averages_only_the_replicas_with_both_samples():
+    orig = _burst_graph()
+    multi = TemporalGraph.from_events([(1, 2, 0), (2, 3, 4), (3, 1, 30)])
+    one = TemporalGraph.from_events([(1, 2, 5)])  # no inter-event gap
+
+    def ks(original, synthetics):
+        return compare_report(original, synthetics, delta_c=10, l_set=(2,),
+                              window_count=2)["ks"]
+
+    mixed, alone, only_one = ks(orig, [multi, one]), ks(orig, [multi]), ks(orig, [one])
+    assert mixed["iet"] == alone["iet"] > 0.0
+    assert only_one["iet"] is None and ks(one, [multi])["iet"] is None
+    for name in KS_DISTRIBUTIONS:
+        if name != "iet":  # never empty, so both replicas count
+            assert mixed[name] == pytest.approx((alone[name] + only_one[name]) / 2)
+
+
 def test_collegemsg_global_stats_when_available():
     from pathlib import Path
     from motifgen import load_events
