@@ -1,19 +1,19 @@
 """Synthesis of a temporal graph from an extracted transition profile.
 
-Cold events are rebuilt first: a configuration model rewires the cold-event
-degree sequence into static edges, the per-edge event-count multiset is
-shuffled onto those edges, and the original cold timestamps are dealt out
-accordingly. Each cold event then seeds a simulated transition process that
-walks the extracted probability rows, draws exponential inter-event gaps
-from the matching rates, and resolves new-node digits to concrete endpoints
-through the shared output state. One generator, seeded once per generated
-graph, supplies every random draw: first the cold events, then the
-processes in cold-event order.
+Cold events come first: a configuration model rewires the cold-event degree
+sequence into static edges, the per-edge event-count multiset is shuffled
+onto them, and the cold timestamps are dealt out accordingly. Each cold event
+then seeds a transition process that walks the probability rows, draws
+exponential gaps from the matching rates, and resolves new-node digits to
+endpoints through the shared output state. One generator, seeded once per
+graph, supplies every draw: the cold events, then every chain's codes and
+gaps level by level, then the partners of new digits in cold-event order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .events import Event, TemporalGraph
 from .extraction import TransitionKey, TransitionProfile
 
 _SHUFFLE_TRIES = 100
+_BLOCK = 128  # Fisher-Yates draws per numpy call
 _PAIR_TRIES = 100
 _PARTNER_TRIES = 64
 
@@ -41,17 +42,19 @@ def _match_stubs(out_stubs: list[int], in_stubs: list[int],
                  rng: np.random.Generator) -> list[tuple[int, int]]:
     """Uniform stub matching avoiding self-loops and duplicate pairs.
 
-    Whole-permutation rejection keeps the matching exactly uniform over the
-    admissible ones; when no clean permutation shows up (likely only at
-    scale) bad pairs are re-drawn locally and dropped as a last resort.
+    Both tiers walk a forward Fisher-Yates shuffle of the in-stubs, step
+    ``k`` drawing ``j ~ U[k, n)``. Whole-shuffle rejection, restarted at the
+    first bad pair, keeps the matching exactly uniform over the admissible
+    ones; when no clean shuffle shows up (likely only at scale) bad pairs
+    are re-drawn locally and dropped as a last resort.
     """
-    n = len(out_stubs)
+    n, lows = len(out_stubs), np.arange(len(out_stubs))
     for _ in range(_SHUFFLE_TRIES):
-        perm = rng.permutation(n)
-        edges: set[tuple[int, int]] = set()
-        pairs: list[tuple[int, int]] = []
-        for k in range(n):
-            s, d = out_stubs[k], in_stubs[perm[k]]
+        edges, pairs, moved = set(), [], {}  # moved: position -> in-stub index
+        blocks = (rng.integers(lows[k:k + _BLOCK], n).tolist() for k in range(0, n, _BLOCK))
+        for k, j in enumerate(chain.from_iterable(blocks)):
+            s, d = out_stubs[k], in_stubs[moved.get(j, j)]
+            moved[j] = moved.get(k, k)
             if s == d or (s, d) in edges:
                 break
             edges.add((s, d))
@@ -59,15 +62,15 @@ def _match_stubs(out_stubs: list[int], in_stubs: list[int],
         else:
             return pairs
 
-    outs = [out_stubs[j] for j in rng.permutation(n)]
-    ins = [in_stubs[j] for j in rng.permutation(n)]
-    edges: set[tuple[int, int]] = set()
-    pairs = []
+    outs = [out_stubs[j] for j in rng.permutation(n).tolist()]
+    ins = [in_stubs[j] for j in rng.permutation(n).tolist()]
+    first = rng.integers(lows, n).tolist()
+    edges, pairs = set(), []
     for k in range(n):
         s = outs[k]
         placed = -1
-        for _ in range(_PAIR_TRIES):
-            j = int(rng.integers(k, n))
+        for tries in range(_PAIR_TRIES):
+            j = int(rng.integers(k, n)) if tries else first[k]
             if s != ins[j] and (s, ins[j]) not in edges:
                 placed = j
                 break
@@ -116,10 +119,8 @@ def generate_cold_events(profile: TransitionProfile,
     projection realizes the extracted degree sequence up to dropped stub
     pairs.
     """
-    out_stubs = [i for i, (_ind, out) in enumerate(profile.k_ce)
-                 for _ in range(out)]
-    in_stubs = [i for i, (ind, _out) in enumerate(profile.k_ce)
-                for _ in range(ind)]
+    in_stubs, out_stubs = ([i for i, k in enumerate(profile.k_ce) for _ in range(k[c])]
+                           for c in (0, 1))
     pairs = _match_stubs(out_stubs, in_stubs, rng)
     if not pairs:
         raise GenerationError("stub matching produced no edges")
@@ -129,15 +130,10 @@ def generate_cold_events(profile: TransitionProfile,
     for _ in range(sum(weights) - sum(assigned)):  # events of dropped pairs
         assigned[int(rng.integers(len(assigned)))] += 1
 
-    ts = [profile.t_ce[j] for j in rng.permutation(len(profile.t_ce))]
-    events: list[Event] = []
-    pos = 0
-    for (u, v), w in zip(pairs, assigned):
-        for t in ts[pos:pos + w]:
-            events.append(Event(u, v, int(t)))
-        pos += w
-    events.sort(key=lambda e: e.t)
-    return events
+    ts = iter([profile.t_ce[j] for j in rng.permutation(len(profile.t_ce)).tolist()])
+    events = [Event(u, v, int(t))
+              for (u, v), w in zip(pairs, assigned) for t in islice(ts, w)]
+    return sorted(events, key=lambda e: e.t)
 
 
 def new_edge_probability(profile: TransitionProfile, n_cold_edges: int,
@@ -209,60 +205,74 @@ def select_edge_for_new_digit(state: OutputState, fixed_node: int,
     return state.next_node
 
 
-def _sample_next(row: dict[MotifCode, float], u: float) -> MotifCode | None:
-    cum = 0.0
-    for code, p in row.items():
-        cum += p
-        if u < cum:
-            return code
-    return None  # the remaining mass is the stop state
+def _compile(profile: TransitionProfile) -> tuple:
+    """The rows as arrays by (state, entry): a state per code with a row, in
+    code order (01 first), its entries in row order, padded with ``inf``. An
+    entry holds the row's running probability sum, the successor's state (-1
+    without a row), the mean gap, and the successor's last pair, which has a
+    new source digit where ``new`` is 1 and a new target digit where it is 2."""
+    codes = sorted(code for code, row in profile.probs.items() if row)
+    ids = {code: i for i, code in enumerate(codes)}
+    shape = (len(codes), max(map(len, profile.probs.values()), default=0) + 1)
+    cum, nxt, scale = np.full(shape, np.inf), np.full(shape, -1), np.ones(shape)
+    new, src, dst = (np.zeros(shape, dtype=np.intp) for _ in range(3))
+    for i, code in enumerate(codes):
+        total = 0.0
+        for c, (succ, p) in enumerate(profile.probs[code].items()):
+            total += p
+            src[i, c], dst[i, c] = s_d, d_d = succ.pairs[-1]
+            cum[i, c], nxt[i, c] = total, ids.get(succ, -1)
+            scale[i, c] = 1.0 / profile.rates[TransitionKey(code, succ)]
+            new[i, c] = 1 if s_d == code.n else 2 if d_d == code.n else 0
+    return codes, cum, nxt, scale, new, src, dst
 
 
 def simulate(profile: TransitionProfile, cold_events: list[Event],
              rng: np.random.Generator) -> TemporalGraph:
     """Grow every cold event into a transition process and emit the result.
 
-    Timestamps are kept real-valued while a process grows (so within-process
-    order is exact) and rounded to integer seconds on output. The processes
-    run in cold-event order and all draw from ``rng``.
+    The chains of codes and real-valued times are drawn first, level by
+    level for all live processes at once. One pass in cold-event order then
+    emits each process's events, resolving new digits through the shared
+    output state, and rounds the times to integer seconds.
     """
-    state = OutputState(new_edge_probability(
-        profile,
-        n_cold_edges=len({(e.src, e.dst) for e in cold_events}),
-        n_cold_events=len(cold_events),
-    ))
-    raw: list[tuple[int, int, float]] = []
-    for cold in cold_events:
-        state.add_event(cold.src, cold.dst)
-        raw.append((cold.src, cold.dst, float(cold.t)))
-        nodes_v = [cold.src, cold.dst]
-        code = CODE_01
-        t = float(cold.t)
-        while row := profile.probs.get(code):  # no row, as at l_max: stop
-            nxt = _sample_next(row, rng.random())
-            if nxt is None:
-                break
-            s_d, d_d = nxt.pairs[-1]
-            if s_d == len(nodes_v):
-                v_node = nodes_v[d_d]
-                u_node = select_edge_for_new_digit(state, v_node, "in",
-                                                   set(nodes_v), rng)
-                nodes_v.append(u_node)
-            elif d_d == len(nodes_v):
-                u_node = nodes_v[s_d]
-                v_node = select_edge_for_new_digit(state, u_node, "out",
-                                                   set(nodes_v), rng)
-                nodes_v.append(v_node)
-            else:
-                u_node, v_node = nodes_v[s_d], nodes_v[d_d]
-            # every row entry has a positive rate: both derive from one count
-            t += rng.exponential(1.0 / profile.rates[TransitionKey(code, nxt)])
-            raw.append((u_node, v_node, t))
-            state.add_event(u_node, v_node)
-            code = nxt
+    codes, cum, nxt, scale, new, src, dst = _compile(profile)
+    start = np.array([e.t for e in cold_events], dtype=float)
+    live = np.arange(start.size if codes[:1] == [CODE_01] else 0)  # all start at 01
+    st, t = np.zeros(live.size, dtype=np.intp), start[live]
+    steps = []  # per level: process, the entry's new, src and dst, time
+    while live.size or not steps:  # at least once, so that steps is not empty
+        u = rng.random(live.size)
+        pick = np.zeros(live.size, dtype=np.intp)
+        for c in range(cum.shape[1] - 1):  # the first entry whose sum > u
+            pick += cum[st, c] <= u
+        go = cum[st, pick] < np.inf  # past the row: the remaining stop mass
+        live, st, pick = live[go], st[go], pick[go]
+        t = t[go] + rng.exponential(scale[st, pick])
+        steps.append((live, new[st, pick], src[st, pick], dst[st, pick], t))
+        go = nxt[st, pick] >= 0  # no row, as at l_max: stop
+        live, st, t = live[go], nxt[st, pick][go], t[go]
 
-    events = [Event(u, v, int(round(t))) for u, v, t in raw]
-    return TemporalGraph.from_events(events)
+    proc, *digits, t = map(np.concatenate, zip(*steps))
+    order = np.argsort(proc, kind="stable")  # stable: each process keeps its level order
+    sizes = np.bincount(proc, minlength=start.size)
+    ts = np.rint(np.insert(t[order], np.cumsum(sizes) - sizes, start))
+    steps = zip(*(a[order].tolist() for a in digits))  # by process, then level
+    del proc, digits, t, order  # a smaller peak: the pass reads only lists
+    state = OutputState(new_edge_probability(
+        profile, len({(e.src, e.dst) for e in cold_events}), len(cold_events)))
+    us, vs = [], []
+    for cold, size in zip(cold_events, sizes.tolist()):
+        nodes_v = [cold.src, cold.dst]  # the cold event's digits 0 and 1 are in use
+        for new_d, s_d, d_d in chain([(0, 0, 1)], islice(steps, size)):
+            if new_d:  # the partner of the new digit becomes node number n
+                fixed, way = (d_d, "in") if new_d == 1 else (s_d, "out")
+                nodes_v.append(select_edge_for_new_digit(
+                    state, nodes_v[fixed], way, set(nodes_v), rng))
+            us.append(nodes_v[s_d])
+            vs.append(nodes_v[d_d])
+            state.add_event(us[-1], vs[-1])
+    return TemporalGraph.from_events(map(Event, us, vs, map(int, ts)))
 
 
 def generate(profile: TransitionProfile, config: GenerationConfig) -> TemporalGraph:

@@ -22,6 +22,7 @@ from motifgen import (
     write_events,
 )
 from motifgen import generation
+from motifgen.extraction import TransitionKey
 from motifgen.generation import (OutputState, _repair_wedge,
                                  select_edge_for_new_digit)
 
@@ -115,6 +116,46 @@ def test_stub_matching_uniform_over_admissible_wirings():
     observed = [seen[w] for w in admissible]
     p_value = sps.chisquare(observed).pvalue
     assert p_value > 0.01
+
+
+@pytest.mark.parametrize("block", [1, 2])
+def test_stub_matching_stays_uniform_across_draw_blocks(monkeypatch, block):
+    # blocks smaller than the 4 stubs: a shuffle draws its next block, and a
+    # restart at a bad pair drops the rest of the current one
+    monkeypatch.setattr(generation, "_BLOCK", block)
+    test_stub_matching_uniform_over_admissible_wirings()
+
+
+class _CountingRng:
+    """A generator that counts its scalar ``integers`` draws."""
+
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(seed)
+        self.scalar_draws = 0
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def integers(self, low, high=None):
+        self.scalar_draws += np.ndim(low) == 0
+        return self.rng.integers(low, high)
+
+
+def test_local_tier_redraws_after_a_first_choice_clash(monkeypatch):
+    # no whole-shuffle tries: the local tier places every stub, and a first
+    # choice that makes a self-loop or a duplicate pair is drawn again
+    monkeypatch.setattr(generation, "_SHUFFLE_TRIES", 0)
+    profile = make_profile({}, k_ce=[(1, 1)] * 4, t_ce=[10, 20, 30, 40],
+                           ce_edge_weights=[1, 1, 1, 1])
+    redraws = 0
+    for seed in range(20):
+        rng = _CountingRng(seed)
+        events = generate_cold_events(profile, rng)
+        assert sorted(e.src for e in events) == [0, 1, 2, 3]
+        assert sorted(e.dst for e in events) == [0, 1, 2, 3]
+        assert all(e.src != e.dst for e in events)
+        redraws += rng.scalar_draws
+    assert redraws > 0
 
 
 # ------------------------------------------------------------ edge choice
@@ -269,6 +310,44 @@ def test_expected_output_size_matches_markov_oracle():
     assert abs(mean - analytic) <= 3 * se + 1e-9
 
 
+def test_tied_timestamps_keep_each_process_together():
+    # every process emits its cold event and its extension at t = 50; the
+    # graph keeps ties in emission order, which is process by process
+    profile = make_profile({"01": {"0110": 1.0}}, rates={("01", "0110"): 1000.0},
+                           l_max=2, k_ce=[(0, 1), (1, 0)], t_ce=[50] * 6,
+                           ce_edge_weights=[6])
+    out = generate(profile, GenerationConfig(seed=3))
+    assert out.events == ((0, 1, 50), (1, 0, 50)) * 6
+
+
+def test_compiled_table_is_the_profile():
+    g = random_stream(random.Random(41), n_events=300, n_nodes=10, t_max=2000)
+    for profile in (extract_profile(g, delta=150, l_max=4),
+                    make_profile({"01": {"0110": 0.25, "0112": 0.75},
+                                  "0112": {"011220": 1.0}}, l_max=3)):
+        codes, cum, nxt, scale, new, src, dst = generation._compile(profile)
+        assert codes[0] == CODE_01
+        assert set(codes) == {c for c, row in profile.probs.items() if row}
+        for i, c in enumerate(codes):
+            row = profile.probs[c]
+            total = 0.0
+            for e, (succ, p) in enumerate(row.items()):
+                total += p
+                assert cum[i, e] == total
+                assert scale[i, e] == 1.0 / profile.rates[TransitionKey(c, succ)]
+                assert (nxt[i, e] == -1) == (not profile.probs.get(succ))
+                if nxt[i, e] >= 0:
+                    assert codes[nxt[i, e]] == succ
+                s_d, d_d = succ.pairs[-1]
+                assert (src[i, e], dst[i, e]) == (s_d, d_d)
+                assert (new[i, e] == 1) == (s_d == c.n)  # a new source digit
+                assert (new[i, e] == 2) == (d_d == c.n)  # a new target digit
+            assert abs(cum[i, len(row) - 1] - (1 - profile.stop_probability(c))) <= 1e-12
+            assert np.all(cum[i, len(row):] == np.inf)
+    # the last profile is the hand-made one, whose 01 row leaves no stop mass
+    assert cum[0, 1] == 1.0 and profile.stop_probability(CODE_01) == 0.0
+
+
 def test_generate_is_deterministic_per_seed():
     rng = random.Random(70)
     g = random_stream(rng, n_events=200, n_nodes=12, t_max=1500)
@@ -306,16 +385,16 @@ def test_generated_bytes_are_pinned(tmp_path):
     save_profile(profile, path)
     for p in (profile, load_profile(path)):
         assert _digest(generate(p, GenerationConfig(seed=7))) == (
-            "9debd06de04e158688984262aba265fa4fd64d9b78c5948dff0b669435f32f36")
+            "6ddeb5cccfc4ae1c51b841370555c94fbb7d357dfaf6a0526574f31c1def6f6f")
 
 
 def test_generated_bytes_are_pinned_on_a_dense_stream():
-    # 843 new-edge picks and 139 reuses of an existing edge: both partner
+    # 847 new-edge picks and 139 reuses of an existing edge: both partner
     # branches of select_edge_for_new_digit reach these bytes
     g = desk_scale_stream(n_events=3000, mean_iet=10.0)
     profile = extract_profile(g, delta=3600, l_max=4)
     assert _digest(generate(profile, GenerationConfig(seed=7))) == (
-        "49b109212233dab9218426ddd1b6bd8b37db6c382ab748dd07143e2bacf607fa")
+        "7172e69a4aad9dad9782ee2c700f5b451af7746b7b0dd4b1446f91fe715adad3")
 
 
 # the toy stream of test_extraction at delta=5, l_max=3, as the version 1
@@ -345,4 +424,4 @@ def test_version_1_profile_loads_and_generates_the_same_bytes(tmp_path):
     assert loaded == extracted
     for p in (loaded, extracted):
         assert _digest(generate(p, GenerationConfig(seed=1))) == (
-            "c2aa07469d1d0dc5b88e5c92a4567cf62b21c5b6b89007859d93a26f2286696a")
+            "9ddc9d4b4b9dd308c297887dfeb9c09bc8d1643b6ae036ec411b443eea422299")
