@@ -35,21 +35,12 @@ class TransitionKey(NamedTuple):
     dst: MotifCode | None
 
 
-@dataclass
-class ProcessRecord:
+class ProcessRecord(NamedTuple):
     """Trace of one finished transition process (kept only on request)."""
 
     events: list[Event]
     code: MotifCode
     stop_reason: str  # "size", "time" or "end"
-
-    @property
-    def start_t(self) -> int:
-        return self.events[0].t
-
-    @property
-    def end_t(self) -> int:
-        return self.events[-1].t
 
 
 @dataclass

@@ -5,7 +5,7 @@ sequence into static edges, the per-edge event-count multiset is shuffled
 onto them, and the cold timestamps are dealt out accordingly. Each cold event
 then seeds a transition process that walks the probability rows, draws
 exponential gaps from the matching rates, and resolves new-node digits to
-endpoints through the shared output state. One generator, seeded once per
+endpoints through the adjacency emitted so far. One generator, seeded once per
 graph, supplies every draw: the cold events, then every chain's codes and
 gaps level by level, then the partners of new digits in cold-event order.
 """
@@ -17,7 +17,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .codec import CODE_01, MotifCode
+from .codec import CODE_01
 from .events import Event, TemporalGraph
 from .extraction import TransitionKey, TransitionProfile
 
@@ -153,48 +153,23 @@ def new_edge_probability(profile: TransitionProfile, n_cold_edges: int,
     return min(max(p, 0.0), 1.0)
 
 
-class OutputState:
-    """Static projection of the events emitted so far: partner maps with a
-    key for every node seen, and those nodes in order of first appearance."""
-
-    def __init__(self, new_edge_p: float = 1.0):
-        self.new_edge_p = new_edge_p
-        self.nodes: list[int] = []
-        self.out_partners: dict[int, dict[int, None]] = {}  # targets by source
-        self.in_partners: dict[int, dict[int, None]] = {}  # sources by target
-        self.next_node = 0  # one past the largest node id seen
-
-    def add_event(self, u: int, v: int) -> None:
-        for node in (u, v):
-            if node not in self.out_partners:
-                self.out_partners[node] = {}
-                self.in_partners[node] = {}
-                self.nodes.append(node)
-                self.next_node = max(self.next_node, node + 1)
-        self.out_partners[u][v] = self.in_partners[v][u] = None
-
-
-def select_edge_for_new_digit(state: OutputState, fixed_node: int,
-                              direction: str, motif_nodes: set[int],
-                              rng: np.random.Generator) -> int:
+def select_edge_for_new_digit(nodes: list[int], linked: dict[int, None],
+                              motif_nodes: set[int], new_edge_p: float,
+                              rng: np.random.Generator) -> int | None:
     """Pick the free endpoint of the event bringing a new node into a motif.
 
-    ``direction`` is ``"out"`` when the fixed node is the source of the new
-    event and ``"in"`` when it is the target. With the state's new-edge
-    probability a node not yet linked to the fixed one (in that direction)
-    is chosen, otherwise an existing edge off the fixed node is reused; the
-    partner always lies outside ``motif_nodes`` so the emitted event
-    realizes the sampled code. Falls back from reuse to creation, and from
-    creation to a brand-new node (``next_node``, which the caller's
-    ``add_event`` registers), so it always returns.
+    ``linked`` holds the fixed node's partners in the new event's direction
+    and ``nodes`` every node emitted so far. With probability ``new_edge_p``
+    a node not yet linked is chosen, otherwise an existing edge off the
+    fixed node is reused; the partner always lies outside ``motif_nodes`` so
+    the emitted event realizes the sampled code. Falls back from reuse to
+    creation, and from creation to ``None``: a brand-new node, which the
+    caller mints.
     """
-    table = state.out_partners if direction == "out" else state.in_partners
-    linked = table[fixed_node]
-    if rng.random() >= state.new_edge_p:
+    if rng.random() >= new_edge_p:
         candidates = [w for w in linked if w not in motif_nodes]
         if candidates:
             return candidates[int(rng.integers(len(candidates)))]
-    nodes = state.nodes
     for _ in range(_PARTNER_TRIES):
         w = nodes[int(rng.integers(len(nodes)))]
         if w not in motif_nodes and w not in linked:
@@ -202,29 +177,27 @@ def select_edge_for_new_digit(state: OutputState, fixed_node: int,
     candidates = [w for w in nodes if w not in motif_nodes and w not in linked]
     if candidates:
         return candidates[int(rng.integers(len(candidates)))]
-    return state.next_node
+    return None
 
 
 def _compile(profile: TransitionProfile) -> tuple:
     """The rows as arrays by (state, entry): a state per code with a row, in
     code order (01 first), its entries in row order, padded with ``inf``. An
     entry holds the row's running probability sum, the successor's state (-1
-    without a row), the mean gap, and the successor's last pair, which has a
-    new source digit where ``new`` is 1 and a new target digit where it is 2."""
+    without a row), the mean gap, and the successor's last pair."""
     codes = sorted(code for code, row in profile.probs.items() if row)
     ids = {code: i for i, code in enumerate(codes)}
     shape = (len(codes), max(map(len, profile.probs.values()), default=0) + 1)
     cum, nxt, scale = np.full(shape, np.inf), np.full(shape, -1), np.ones(shape)
-    new, src, dst = (np.zeros(shape, dtype=np.intp) for _ in range(3))
+    src, dst = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=np.intp)
     for i, code in enumerate(codes):
         total = 0.0
         for c, (succ, p) in enumerate(profile.probs[code].items()):
             total += p
-            src[i, c], dst[i, c] = s_d, d_d = succ.pairs[-1]
+            src[i, c], dst[i, c] = succ.pairs[-1]
             cum[i, c], nxt[i, c] = total, ids.get(succ, -1)
             scale[i, c] = 1.0 / profile.rates[TransitionKey(code, succ)]
-            new[i, c] = 1 if s_d == code.n else 2 if d_d == code.n else 0
-    return codes, cum, nxt, scale, new, src, dst
+    return cum, nxt, scale, src, dst
 
 
 def simulate(profile: TransitionProfile, cold_events: list[Event],
@@ -233,14 +206,15 @@ def simulate(profile: TransitionProfile, cold_events: list[Event],
 
     The chains of codes and real-valued times are drawn first, level by
     level for all live processes at once. One pass in cold-event order then
-    emits each process's events, resolving new digits through the shared
-    output state, and rounds the times to integer seconds.
+    emits each process's events, resolving new digits against the adjacency
+    of the events emitted before, and rounds the times to integer seconds.
+    A brand-new node gets an id past every node of the cold events.
     """
-    codes, cum, nxt, scale, new, src, dst = _compile(profile)
+    cum, nxt, scale, src, dst = _compile(profile)
     start = np.array([e.t for e in cold_events], dtype=float)
-    live = np.arange(start.size if codes[:1] == [CODE_01] else 0)  # all start at 01
+    live = np.arange(start.size if profile.probs.get(CODE_01) else 0)  # all start at 01
     st, t = np.zeros(live.size, dtype=np.intp), start[live]
-    steps = []  # per level: process, the entry's new, src and dst, time
+    steps = []  # per level: process, the entry's src and dst, time
     while live.size or not steps:  # at least once, so that steps is not empty
         u = rng.random(live.size)
         pick = np.zeros(live.size, dtype=np.intp)
@@ -249,7 +223,7 @@ def simulate(profile: TransitionProfile, cold_events: list[Event],
         go = cum[st, pick] < np.inf  # past the row: the remaining stop mass
         live, st, pick = live[go], st[go], pick[go]
         t = t[go] + rng.exponential(scale[st, pick])
-        steps.append((live, new[st, pick], src[st, pick], dst[st, pick], t))
+        steps.append((live, src[st, pick], dst[st, pick], t))
         go = nxt[st, pick] >= 0  # no row, as at l_max: stop
         live, st, t = live[go], nxt[st, pick][go], t[go]
 
@@ -259,19 +233,31 @@ def simulate(profile: TransitionProfile, cold_events: list[Event],
     ts = np.rint(np.insert(t[order], np.cumsum(sizes) - sizes, start))
     steps = zip(*(a[order].tolist() for a in digits))  # by process, then level
     del proc, digits, t, order  # a smaller peak: the pass reads only lists
-    state = OutputState(new_edge_probability(
-        profile, len({(e.src, e.dst) for e in cold_events}), len(cold_events)))
+    new_edge_p = new_edge_probability(
+        profile, len({(e.src, e.dst) for e in cold_events}), len(cold_events))
+    nodes: list[int] = []  # in order of first appearance
+    out_partners: dict[int, dict[int, None]] = {}  # targets by source
+    in_partners: dict[int, dict[int, None]] = {}  # sources by target
+    minted = max((max(e.src, e.dst) for e in cold_events), default=-1)
     us, vs = [], []
     for cold, size in zip(cold_events, sizes.tolist()):
         nodes_v = [cold.src, cold.dst]  # the cold event's digits 0 and 1 are in use
-        for new_d, s_d, d_d in chain([(0, 0, 1)], islice(steps, size)):
-            if new_d:  # the partner of the new digit becomes node number n
-                fixed, way = (d_d, "in") if new_d == 1 else (s_d, "out")
-                nodes_v.append(select_edge_for_new_digit(
-                    state, nodes_v[fixed], way, set(nodes_v), rng))
-            us.append(nodes_v[s_d])
-            vs.append(nodes_v[d_d])
-            state.add_event(us[-1], vs[-1])
+        for s_d, d_d in chain([(0, 1)], islice(steps, size)):
+            if len(nodes_v) in (s_d, d_d):  # a new digit: its partner becomes node n
+                linked = (in_partners[nodes_v[d_d]] if s_d == len(nodes_v)
+                          else out_partners[nodes_v[s_d]])
+                w = select_edge_for_new_digit(nodes, linked, set(nodes_v), new_edge_p, rng)
+                if w is None:
+                    minted = w = minted + 1
+                nodes_v.append(w)
+            u, v = nodes_v[s_d], nodes_v[d_d]
+            for node in (u, v):
+                if node not in out_partners:
+                    out_partners[node], in_partners[node] = {}, {}
+                    nodes.append(node)
+            out_partners[u][v] = in_partners[v][u] = None
+            us.append(u)
+            vs.append(v)
     return TemporalGraph.from_events(map(Event, us, vs, map(int, ts)))
 
 

@@ -139,13 +139,13 @@ def test_criterion_2_toy_stream_trace():
         profile.cold_event_count == 2
         and len(procs) == 2
         and procs[0].code.render() == "011202"
-        and (procs[0].start_t, procs[0].end_t) == (1, 5)
+        and (procs[0].events[0].t, procs[0].events[-1].t) == (1, 5)
         and procs[0].stop_reason == "size"
         and procs[1].code.render() == "010202"
-        and (procs[1].start_t, procs[1].end_t) == (7, 9)
+        and (procs[1].events[0].t, procs[1].events[-1].t) == (7, 9)
         and cold_event_fraction(profile) == pytest.approx(2 / 6)
     )
-    spans = [(p.start_t, p.end_t, p.code.render()) for p in procs]
+    spans = [(p.events[0].t, p.events[-1].t, p.code.render()) for p in procs]
     _report("criterion 2 (toy stream trace)", ok,
             f"processes={spans} cold={profile.cold_event_count}")
 

@@ -46,10 +46,10 @@ def test_toy_stream_trace():
 
     first, second = profile.processes
     assert first.code == code("011202")
-    assert (first.start_t, first.end_t) == (1, 5)
+    assert (first.events[0].t, first.events[-1].t) == (1, 5)
     assert first.stop_reason == "size"
     assert second.code == code("010202")
-    assert (second.start_t, second.end_t) == (7, 9)
+    assert (second.events[0].t, second.events[-1].t) == (7, 9)
 
     expected_counts = {
         ("01", "0112"): 1,
@@ -205,9 +205,9 @@ def _retired_at(record, events, delta: int) -> float:
     """When the scan retires a process: at the event that fills it, at the
     first event more than ``delta`` after its last one, or at the end."""
     if record.stop_reason == "size":
-        return record.end_t
+        return record.events[-1].t
     if record.stop_reason == "time":
-        return next(e.t for e in events if e.t - record.end_t > delta)
+        return next(e.t for e in events if e.t - record.events[-1].t > delta)
     return math.inf
 
 
@@ -218,7 +218,7 @@ def test_stop_reasons_in_retirement_order():
     g = TemporalGraph.from_events([(1, 2, 0), (3, 4, 1), (1, 5, 2), (2, 5, 5),
                                    (6, 7, 8), (6, 7, 15)])
     profile = extract_profile(g, delta=10, l_max=3, keep_processes=True)
-    assert [(r.start_t, r.end_t, r.code.render(), r.stop_reason)
+    assert [(r.events[0].t, r.events[-1].t, r.code.render(), r.stop_reason)
             for r in profile.processes] == [
         (0, 5, "010212", "size"), (1, 1, "01", "time"), (8, 15, "0101", "end")]
 

@@ -8,6 +8,7 @@ from scipy import stats as sps
 
 from motifgen import (
     CODE_01,
+    Event,
     GenerationConfig,
     MotifCode,
     TemporalGraph,
@@ -23,8 +24,7 @@ from motifgen import (
 )
 from motifgen import generation
 from motifgen.extraction import TransitionKey
-from motifgen.generation import (OutputState, _repair_wedge,
-                                 select_edge_for_new_digit)
+from motifgen.generation import _repair_wedge, select_edge_for_new_digit
 
 from helpers import make_profile, random_stream
 from surrogate import desk_scale_stream
@@ -172,47 +172,52 @@ def test_new_edge_probability_formula():
                                 n_cold_edges=40, n_cold_events=40) == 0.0
 
 
-def _state_with(edges, new_edge_p):
-    state = OutputState(new_edge_p)
+def _adjacency(edges):
+    """Nodes in order of first appearance, and targets by source and sources
+    by target, with a key for every node."""
+    nodes, out_partners, in_partners = [], {}, {}
     for u, v in edges:
-        state.add_event(u, v)
-    return state
+        for node in (u, v):
+            if node not in out_partners:
+                out_partners[node], in_partners[node] = {}, {}
+                nodes.append(node)
+        out_partners[u][v] = in_partners[v][u] = None
+    return nodes, out_partners, in_partners
 
 
 def test_reuse_branch_picks_existing_edge_outside_motif():
-    state = _state_with([(1, 2), (1, 3), (4, 1)], new_edge_p=0.0)
+    nodes, out_partners, in_partners = _adjacency([(1, 2), (1, 3), (4, 1)])
     rng = np.random.default_rng(3)
     for _ in range(20):
-        assert select_edge_for_new_digit(state, 1, "out", {1, 2}, rng) == 3
-        assert select_edge_for_new_digit(state, 1, "in", {1, 2}, rng) == 4
+        assert select_edge_for_new_digit(nodes, out_partners[1], {1, 2}, 0.0, rng) == 3
+        assert select_edge_for_new_digit(nodes, in_partners[1], {1, 2}, 0.0, rng) == 4
 
 
 def test_reuse_falls_back_to_creation_when_no_candidate():
     # node 1's only out-partner is inside the motif; must create instead
-    state = _state_with([(1, 2), (5, 6)], new_edge_p=0.0)
+    nodes, out_partners, _ = _adjacency([(1, 2), (5, 6)])
     rng = np.random.default_rng(4)
     for _ in range(20):
-        partner = select_edge_for_new_digit(state, 1, "out", {1, 2}, rng)
+        partner = select_edge_for_new_digit(nodes, out_partners[1], {1, 2}, 0.0, rng)
         assert partner in {5, 6}  # outside motif, no (1, partner) edge yet
 
 
 def test_creation_branch_avoids_linked_and_motif_nodes(monkeypatch):
-    state = _state_with([(1, 2), (1, 3), (4, 5)], new_edge_p=1.0)
+    nodes, out_partners, _ = _adjacency([(1, 2), (1, 3), (4, 5)])
     rng = np.random.default_rng(5)
     for partner_tries in (generation._PARTNER_TRIES, 0):  # 0: the full scan
         monkeypatch.setattr(generation, "_PARTNER_TRIES", partner_tries)
         for _ in range(50):
-            partner = select_edge_for_new_digit(state, 1, "out", {1, 2}, rng)
+            partner = select_edge_for_new_digit(nodes, out_partners[1], {1, 2}, 1.0, rng)
             assert partner not in {1, 2}       # outside the motif
             assert partner not in {2, 3}       # edge (1, partner) must be new
             assert partner in {4, 5}
 
 
 def test_creation_mints_fresh_node_when_exhausted():
-    state = _state_with([(1, 2)], new_edge_p=1.0)
+    nodes, out_partners, _ = _adjacency([(1, 2)])
     rng = np.random.default_rng(6)
-    partner = select_edge_for_new_digit(state, 1, "out", {1, 2}, rng)
-    assert partner == 3  # next unused id
+    assert select_edge_for_new_digit(nodes, out_partners[1], {1, 2}, 1.0, rng) is None
 
 
 # -------------------------------------------------------------- simulation
@@ -225,6 +230,21 @@ def test_stop_everywhere_profile_outputs_cold_events_only():
     out = generate(profile, GenerationConfig(seed=2))
     assert len(out.events) == profile.cold_event_count
     assert sorted(e.t for e in out.events) == sorted(profile.t_ce)
+
+
+def test_minted_nodes_get_ids_past_every_cold_node():
+    # the first process mints a node before the second cold event brings in
+    # node 2, so the minted node must not be numbered 2
+    profile = make_profile({"01": {"0112": 1.0}}, l_max=3)
+    for seed in range(10):
+        out = simulate(profile, [Event(0, 1, 0), Event(2, 0, 100)],
+                       np.random.default_rng(seed))
+        assert [(e.src, e.dst) for e in out.events][:2] == [(0, 1), (1, 3)]
+
+
+def test_no_cold_events_give_an_empty_graph():
+    profile = make_profile({"01": {"0112": 1.0}}, l_max=3)
+    assert simulate(profile, [], np.random.default_rng(0)).events == ()
 
 
 def test_exponential_transition_times():
@@ -250,7 +270,6 @@ def test_branch_frequencies_match_rows():
          "0112": {"011202": 0.6, "011213": 0.4}},
         l_max=3,
     )
-    from motifgen import Event
     n = 10_000
     outcomes: Counter = Counter()
     for seed in range(n):
@@ -266,7 +285,6 @@ def test_single_process_codes_are_row_supported():
     rng = random.Random(33)
     g = random_stream(rng, n_events=250, n_nodes=8, t_max=800)
     profile = extract_profile(g, delta=120, l_max=4)
-    from motifgen import Event
     for seed in range(200):
         out = simulate(profile, [Event(1, 2, 0)], np.random.default_rng(seed))
         events = list(out.events)
@@ -325,9 +343,10 @@ def test_compiled_table_is_the_profile():
     for profile in (extract_profile(g, delta=150, l_max=4),
                     make_profile({"01": {"0110": 0.25, "0112": 0.75},
                                   "0112": {"011220": 1.0}}, l_max=3)):
-        codes, cum, nxt, scale, new, src, dst = generation._compile(profile)
+        cum, nxt, scale, src, dst = generation._compile(profile)
+        codes = sorted(c for c, row in profile.probs.items() if row)  # the states
         assert codes[0] == CODE_01
-        assert set(codes) == {c for c, row in profile.probs.items() if row}
+        assert cum.shape[0] == len(codes)
         for i, c in enumerate(codes):
             row = profile.probs[c]
             total = 0.0
@@ -340,8 +359,6 @@ def test_compiled_table_is_the_profile():
                     assert codes[nxt[i, e]] == succ
                 s_d, d_d = succ.pairs[-1]
                 assert (src[i, e], dst[i, e]) == (s_d, d_d)
-                assert (new[i, e] == 1) == (s_d == c.n)  # a new source digit
-                assert (new[i, e] == 2) == (d_d == c.n)  # a new target digit
             assert abs(cum[i, len(row) - 1] - (1 - profile.stop_probability(c))) <= 1e-12
             assert np.all(cum[i, len(row):] == np.inf)
     # the last profile is the hand-made one, whose 01 row leaves no stop mass
@@ -389,12 +406,12 @@ def test_generated_bytes_are_pinned(tmp_path):
 
 
 def test_generated_bytes_are_pinned_on_a_dense_stream():
-    # 847 new-edge picks and 139 reuses of an existing edge: both partner
-    # branches of select_edge_for_new_digit reach these bytes
+    # 850 new-edge picks, 135 reuses of an existing edge and one minted
+    # node: every branch of select_edge_for_new_digit reaches these bytes
     g = desk_scale_stream(n_events=3000, mean_iet=10.0)
     profile = extract_profile(g, delta=3600, l_max=4)
     assert _digest(generate(profile, GenerationConfig(seed=7))) == (
-        "7172e69a4aad9dad9782ee2c700f5b451af7746b7b0dd4b1446f91fe715adad3")
+        "fc84a461fcca336b4676a3465434ba3bf0014641069570217ac5855e30421c53")
 
 
 # the toy stream of test_extraction at delta=5, l_max=3, as the version 1
