@@ -115,19 +115,15 @@ def _run_path(template: str, index: int) -> Path:
 @click.option("--delta-c", type=click.IntRange(min=1), default=DEFAULT_DELTA_C,
               show_default=True,
               help="Max gap between consecutive motif events, seconds.")
-@click.option("--delta-c-inclusive/--delta-c-exclusive", default=True,
-              show_default=True, help="Whether a gap equal to the limit counts.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="json", show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False),
               help="Write to a file instead of stdout.")
-def count(input_path: str, l: int, delta_c: int, delta_c_inclusive: bool,
-          fmt: str, out_path: str | None):
+def count(input_path: str, l: int, delta_c: int, fmt: str, out_path: str | None):
     """Count temporal motif instances per type."""
     g = _load(input_path)
-    counts = count_motifs(g, l, delta_c, inclusive=delta_c_inclusive)
-    doc = {"l": l, "delta_c": delta_c, "inclusive": delta_c_inclusive,
-           "total": counts.total, "counts": counts.by_string()}
+    counts = count_motifs(g, l, delta_c)
+    doc = {"l": l, "delta_c": delta_c, "total": counts.total, "counts": counts.by_string()}
     _emit(doc, ["code", "count"], doc["counts"].items(), fmt, out_path)
 
 

@@ -1,7 +1,7 @@
 """Exact counting of l-event temporal motif instances.
 
 An instance is an ordered tuple of ``l`` events with strictly increasing
-timestamps, every consecutive gap within the ceiling ``delta_c``, and each
+timestamps, every consecutive gap at most ``delta_c``, and each
 event sharing a node with the earlier ones. Instances may overlap (they are
 event subsets, not a partition). A graph holds no self-loop
 (building a :class:`~motifgen.events.TemporalGraph` drops them), so every
@@ -90,8 +90,7 @@ def _decode(code_id: int, l: int) -> MotifCode:
 
 
 def _count(g: TemporalGraph, levels: tuple[int, ...], delta_c: int,
-           inclusive: bool, window_count: int
-           ) -> tuple[dict[int, np.ndarray], list[list[int]]]:
+           window_count: int) -> tuple[dict[int, np.ndarray], list[list[int]]]:
     """Tallies by code id, and window totals, at every size in ``levels``.
 
     The ends of the ``m`` events are numbered ``2 * event + side``, side 0
@@ -124,8 +123,8 @@ def _count(g: TemporalGraph, levels: tuple[int, ...], delta_c: int,
     tie = np.zeros(m, np.int32)
     np.cumsum(np.fromiter(map(ne, ts[1:], ts), np.int32, m - 1), out=tie[1:])
     after = np.searchsorted(tie, tie, side="right").astype(np.int32)
-    within = bisect_right if inclusive else bisect_left
-    end = np.fromiter(map(within, repeat(ts), map(add, ts, repeat(delta_c))), np.int32, m)
+    end = np.fromiter(map(bisect_right, repeat(ts), map(add, ts, repeat(delta_c))),
+                      np.int32, m)
     if window_count:  # a window is a run of events: find where each starts
         t0, span = (ts or [0])[0], max(g.timespan, 1)
         starts = [bisect_left(ts, w, key=lambda t: (t - t0) * window_count // span)
@@ -205,27 +204,22 @@ def _count(g: TemporalGraph, levels: tuple[int, ...], delta_c: int,
 
 
 def count_spectra(g: TemporalGraph, l_set: Sequence[int], delta_c: int,
-                  inclusive: bool = True,
                   window_count: int = 0) -> dict[int, SpectrumCounts]:
-    """Count the motif instances of ``g`` at every size in ``l_set`` in one
-    pass, and with ``window_count`` > 0 their per-window totals.
-
-    ``inclusive`` counts gaps equal to ``delta_c`` as inside the ceiling.
-    """
+    """Count the motif instances of ``g`` whose gaps are at most ``delta_c``
+    at every size in ``l_set`` in one pass, and with ``window_count`` > 0
+    their per-window totals."""
     check_count_args(l_set, delta_c)
     if window_count < 0:
         raise ValueError(f"window_count must not be negative, got {window_count}")
     levels = tuple(sorted(set(l_set)))
-    tallies, windows = _count(g, levels, delta_c, inclusive, window_count)
+    tallies, windows = _count(g, levels, delta_c, window_count)
     return {l: SpectrumCounts({_decode(code_id, l): count for code_id, count
                                in enumerate(tallies[l].tolist()) if count}, windows[l])
             for l in levels}
 
 
-def count_motifs(g: TemporalGraph, l: int, delta_c: int,
-                 inclusive: bool = True) -> SpectrumCounts:
-    """Count all ``l``-event motif instances of ``g`` under ``delta_c``: the
-    one-size, windowless case of :func:`count_spectra`, with its ``inclusive``
-    semantics. For several sizes of one graph, call that once.
-    """
-    return count_spectra(g, (l,), delta_c, inclusive=inclusive)[l]
+def count_motifs(g: TemporalGraph, l: int, delta_c: int) -> SpectrumCounts:
+    """Count all ``l``-event motif instances of ``g`` whose gaps are at most
+    ``delta_c``: the one-size, windowless case of :func:`count_spectra`. For
+    several sizes of one graph, call that once."""
+    return count_spectra(g, (l,), delta_c)[l]

@@ -211,7 +211,8 @@ def simulate(profile: TransitionProfile, cold_events: list[Event],
     A brand-new node gets an id past every node of the cold events.
     """
     cum, nxt, scale, src, dst = _compile(profile)
-    start = np.array([e.t for e in cold_events], dtype=float)
+    t0 = min((e.t for e in cold_events), default=0)  # float offsets keep any t0 exact
+    start = np.array([e.t - t0 for e in cold_events], dtype=float)
     live = np.arange(start.size if profile.probs.get(CODE_01) else 0)  # all start at 01
     st, t = np.zeros(live.size, dtype=np.intp), start[live]
     steps = []  # per level: process, the entry's src and dst, time
@@ -258,7 +259,7 @@ def simulate(profile: TransitionProfile, cold_events: list[Event],
             out_partners[u][v] = in_partners[v][u] = None
             us.append(u)
             vs.append(v)
-    return TemporalGraph.from_events(map(Event, us, vs, map(int, ts)))
+    return TemporalGraph.from_events(map(Event, us, vs, (t0 + int(t) for t in ts)))
 
 
 def generate(profile: TransitionProfile, config: GenerationConfig) -> TemporalGraph:

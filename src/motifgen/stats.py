@@ -183,7 +183,7 @@ def compare_report(original: TemporalGraph, synthetics: Sequence[TemporalGraph],
     return {
         "replicas": len(synthetics),
         "params": {"delta_c": delta_c, "l_set": list(l_set),
-                   "window_count": window_count, "inclusive": True},
+                   "window_count": window_count},
         "global_stats": {
             "original": orig_stats,
             "synthetic_mean": mean_stats,

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -225,6 +226,24 @@ def test_count_rejects_unsupported_l(tmp_path):
     assert run("count", toy, "--l", 9, "--delta-c", 10).exit_code != 0
 
 
+def test_count_delta_c_admits_a_gap_equal_to_it(tmp_path):
+    # the one ceiling is inclusive: an exclusive ceiling N is --delta-c N-1
+    toy = write_toy(tmp_path, content="1 2 0\n2 1 10\n")
+    for delta_c, total in ((10, 1), (9, 0)):
+        result = run("count", toy, "--l", 2, "--delta-c", delta_c)
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        assert list(doc) == ["l", "delta_c", "total", "counts"]
+        assert (doc["l"], doc["delta_c"], doc["total"]) == (2, delta_c, total)
+
+
+def test_count_has_no_exclusive_flag(tmp_path):
+    toy = write_toy(tmp_path)
+    result = run("count", toy, "--l", 2, "--delta-c-exclusive")
+    assert result.exit_code == 2  # a usage error
+    assert "No such option" in result.output
+
+
 def test_stats_outputs_all_metrics(tmp_path):
     toy = write_toy(tmp_path)
     result = run("stats", toy)
@@ -264,6 +283,7 @@ def test_compare_self_is_zero_error(tmp_path):
                  "--windows", 3, "--out", report_path)
     assert result.exit_code == 0, result.output
     report = json.loads(report_path.read_text())
+    assert report["params"] == {"delta_c": 10, "l_set": [2], "window_count": 3}
     assert all(r == 1.0 for r in report["global_stats"]["ratios"].values())
     assert all(v == 0.0 for v in report["ks"].values())
     assert report["msre"]["2"]["total"] == 0.0
@@ -363,3 +383,13 @@ def test_cli_starts_without_multiprocessing():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    # in this process, so that a line tracer sees the ``__main__`` guard run
+    monkeypatch.delitem(sys.modules, "motifgen.cli")  # runpy runs a fresh copy
+    monkeypatch.setattr(sys, "argv", ["motifgen", "--version"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("motifgen.cli", run_name="__main__")
+    assert done.value.code == 0
+    assert motifgen.__version__ in capsys.readouterr().out

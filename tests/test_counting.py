@@ -18,6 +18,13 @@ def code(s: str) -> MotifCode:
     return MotifCode.from_string(s)
 
 
+def ceiling(delta_c: int, inclusive: bool) -> int:
+    """The ceiling that counts what the oracle counts at ``delta_c`` in the
+    given mode: on integer timestamps, excluding a gap of ``delta_c`` is the
+    ceiling ``delta_c - 1``."""
+    return delta_c if inclusive else delta_c - 1
+
+
 def test_bounce_pair():
     g = TemporalGraph.from_events([(1, 2, 1), (2, 1, 2)])
     counts = count_motifs(g, 2, 10)
@@ -32,8 +39,9 @@ def test_window_exclusion():
 
 def test_window_boundary_inclusive_vs_exclusive():
     g = TemporalGraph.from_events([(1, 2, 0), (2, 1, 10)])
-    assert count_motifs(g, 2, 10, inclusive=True).total == 1
-    assert count_motifs(g, 2, 10, inclusive=False).total == 0
+    assert count_motifs(g, 2, 10).total == 1
+    assert count_motifs(g, 2, 9).total == 0
+    assert oracle_count(g, 2, 10, inclusive=False) == {}
 
 
 def test_equal_timestamps_never_chain():
@@ -88,11 +96,12 @@ def test_matches_exhaustive_oracle():
 
 
 def test_exclusive_mode_matches_oracle():
+    """The oracle's exclusive ceiling 5 counts what counting at 4 counts."""
     rng = random.Random(123)
     for _ in range(20):
         g = random_stream(rng, n_events=10, n_nodes=4, t_max=12)
         for l in (2, 3):
-            got = count_motifs(g, l, 5, inclusive=False)
+            got = count_motifs(g, l, 4)
             assert got.counts == oracle_count(g, l, 5, inclusive=False)
 
 
@@ -171,9 +180,9 @@ def test_stale_windows_of_a_node_off_the_last_event(inclusive):
     Its window at the root event is then stale at both bounds."""
     g = TemporalGraph.from_events(STALE_STREAM)
     for l in (2, 3, 4):
-        assert count_motifs(g, l, 5, inclusive).counts \
+        assert count_motifs(g, l, ceiling(5, inclusive)).counts \
             == oracle_count(g, l, 5, inclusive), f"l={l}"
-    spectra = count_spectra(g, (2, 3, 4), 5, inclusive, window_count=3)
+    spectra = count_spectra(g, (2, 3, 4), ceiling(5, inclusive), window_count=3)
     for l in (2, 3, 4):
         assert spectra[l].windows == window_totals(g, l, 5, 3, inclusive)
 
@@ -192,7 +201,7 @@ def test_cursors_stay_fresh(monkeypatch, inclusive, stale_needles):
         return searchsorted(a, v, *args, **kwargs)
 
     monkeypatch.setattr(np, "searchsorted", counted)
-    count_motifs(TemporalGraph.from_events(STALE_STREAM), 4, 5, inclusive)
+    count_motifs(TemporalGraph.from_events(STALE_STREAM), 4, ceiling(5, inclusive))
     assert sum(needles) - 5 * len(STALE_STREAM) == stale_needles
 
 
@@ -224,10 +233,13 @@ def _tie_streams(seed: int, count: int):
 @pytest.mark.parametrize("inclusive", [True, False])
 def test_spectra_match_count_motifs_and_oracle(inclusive):
     for g, delta_c, _ in _tie_streams(2024, 80):
-        spectra = count_spectra(g, (2, 3, 4), delta_c, inclusive=inclusive)
+        if not ceiling(delta_c, inclusive):  # excluding a gap of 1 admits none
+            assert all(oracle_count(g, l, delta_c, inclusive) == {} for l in (2, 3, 4))
+            continue
+        spectra = count_spectra(g, (2, 3, 4), ceiling(delta_c, inclusive))
         assert sorted(spectra) == [2, 3, 4]
         for l in (2, 3, 4):
-            single = count_motifs(g, l, delta_c, inclusive=inclusive)
+            single = count_motifs(g, l, ceiling(delta_c, inclusive))
             assert spectra[l].counts == single.counts \
                 == oracle_count(g, l, delta_c, inclusive)
             assert spectra[l].windows == []
@@ -236,7 +248,11 @@ def test_spectra_match_count_motifs_and_oracle(inclusive):
 @pytest.mark.parametrize("inclusive", [True, False])
 def test_spectra_windows_match_rebuilt_subgraphs(inclusive):
     for g, delta_c, window_count in _tie_streams(2025, 80):
-        spectra = count_spectra(g, (2, 3, 4), delta_c, inclusive=inclusive,
+        if not ceiling(delta_c, inclusive):  # excluding a gap of 1 admits none
+            assert all(window_totals(g, l, delta_c, window_count, inclusive)
+                       == [0] * window_count for l in (2, 3, 4))
+            continue
+        spectra = count_spectra(g, (2, 3, 4), ceiling(delta_c, inclusive),
                                 window_count=window_count)
         for l in (2, 3, 4):
             assert spectra[l].windows == window_totals(
@@ -282,7 +298,7 @@ def test_spectra_exact_for_huge_ids_and_timestamps(inclusive):
             g = TemporalGraph.from_events(
                 [(2**62 + 7 * e.src, 2**62 + 7 * e.dst, start + e.t)
                  for e in small.events])
-            spectra = count_spectra(g, (2, 3, 4), delta_c, inclusive=inclusive,
+            spectra = count_spectra(g, (2, 3, 4), ceiling(delta_c, inclusive),
                                     window_count=3)
             for l in (2, 3, 4):
                 assert spectra[l].counts == oracle_count(g, l, delta_c, inclusive)
@@ -304,15 +320,17 @@ def test_spectra_leave_no_reference_cycles():
 
 # ------------------------------------------------------------ pinned counts
 
-def _spectra_digests(g, delta_c, inclusive):
+def _spectra_digests(g, delta_c):
     """sha256 of each size's per-type counts and window totals."""
-    spectra = count_spectra(g, (2, 3, 4), delta_c, inclusive, window_count=10)
+    spectra = count_spectra(g, (2, 3, 4), delta_c, window_count=10)
     return {l: hashlib.sha256(repr((
         sorted((c.render(), n) for c, n in s.counts.items()), s.windows,
     )).encode()).hexdigest() for l, s in spectra.items()}
 
 
-PINNED_DIGESTS = {  # no desk gap equals delta_c, so its two modes agree
+# keyed by whether the ceiling 3600 admits a gap of 3600; the exclusive one is
+# counted at 3599. No desk gap equals 3600, so desk's two entries agree.
+PINNED_DIGESTS = {
     ("desk", True): {
         2: "4d57b712ceed241fe58724dbf89e71dad14919750113104d912c6dca2a92020f",
         3: "bfdf0ea3b836d8c07569db14042fe3ff1e4adea426fd704b4b83a181c52ae548",
@@ -334,7 +352,7 @@ PINNED_DIGESTS = {  # no desk gap equals delta_c, so its two modes agree
 
 @pytest.mark.parametrize("stream", ["desk", "dense"])
 def test_spectra_digests_are_pinned(stream):
-    """Counts and windows of two surrogate streams, in both modes, pinned.
+    """Counts and windows of two surrogate streams, at both ceilings, pinned.
 
     The desk-like stream has 5,000 events and the dense one (``mean_iet=10``)
     3,000, so the root events fill several chunks of the counting engine and
@@ -344,5 +362,5 @@ def test_spectra_digests_are_pinned(stream):
          else desk_scale_stream(n_events=3000, mean_iet=10))
     assert len(g) > 2 * CHUNK_ROWS
     for inclusive in (True, False):
-        assert _spectra_digests(g, 3600, inclusive) \
+        assert _spectra_digests(g, ceiling(3600, inclusive)) \
             == PINNED_DIGESTS[stream, inclusive], f"inclusive={inclusive}"

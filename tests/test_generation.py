@@ -414,6 +414,18 @@ def test_generated_bytes_are_pinned_on_a_dense_stream():
         "fc84a461fcca336b4676a3465434ba3bf0014641069570217ac5855e30421c53")
 
 
+def test_shifting_the_input_shifts_the_replica_exactly():
+    # a float holds every integer only below 2**53, but the parser accepts
+    # any timestamp (Unix nanoseconds are about 1.7e18): times are drawn as
+    # offsets from the first cold event, so a shift by 2**60 passes through
+    g = desk_scale_stream(n_events=3000, mean_iet=10.0)
+    far = TemporalGraph.from_events((e.src, e.dst, e.t + 2**60) for e in g.events)
+    near, shifted = (generate(extract_profile(h, delta=3600, l_max=4),
+                              GenerationConfig(seed=7)) for h in (g, far))
+    assert len(near) == 3107
+    assert shifted.events == tuple(e._replace(t=e.t + 2**60) for e in near.events)
+
+
 # the toy stream of test_extraction at delta=5, l_max=3, as the version 1
 # writer saved it (derived probs, rates, mu and cold count included)
 TOY_EVENTS = [(11, 12, 1), (12, 10, 4), (11, 10, 5), (10, 12, 7), (10, 11, 8),
