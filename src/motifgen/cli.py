@@ -100,7 +100,7 @@ def generate_cmd(profile_path: str, seed: int, runs: int, out_path: str):
         header = (f"# generated by motifgen {__version__}: "
                   f"seed={run_seed} l_max={profile.l_max} delta={profile.delta}\n")
         path.write_text(header + write_events(g), encoding="ascii")
-        click.echo(f"run {i}: seed={run_seed} events={len(g.events)} -> {path}")
+        click.echo(f"run {i}: seed={run_seed} events={len(g)} -> {path}")
 
 
 def _run_path(template: str, index: int) -> Path:

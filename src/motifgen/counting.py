@@ -27,11 +27,8 @@ are monotone in time, so then every event of the instance lies inside it.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import repeat
 from math import factorial
-from operator import add, ne
 from typing import Sequence
 
 import numpy as np
@@ -97,11 +94,12 @@ def _count(g: TemporalGraph, levels: tuple[int, ...], delta_c: int,
     for the source, and ``flat`` holds each end's node rank. The index
     (``order``) lists every end grouped by node, in time order within a
     node, so a node's events in a time range are one slice of it; its sort
-    key is ``node_rank * m + event``. Timestamps and node ids stay Python
-    ints: only node ranks and event indices enter numpy, so no value the
-    parser accepts can overflow it. Per end, ``lo_at`` is the index entry of
-    the node's first event after the event's timestamp and ``hi_at`` that of
-    its first event beyond the event's ceiling.
+    key is ``node_rank * m + event``. Times are the graph's int64 offsets,
+    whose span is below 2**63, and a ceiling past the span is clamped to
+    it, so no timestamp or node id a graph holds can overflow. Per end,
+    ``lo_at`` is the index entry of the node's first event after the
+    event's timestamp and ``hi_at`` that of its first event beyond the
+    event's ceiling.
     A row of the frontier is one instance: its root, its last event, its
     code id, its nodes in digit order and, per node, a cursor: the latest
     event of the instance on that node (-1 padded both). A node's next events
@@ -113,24 +111,19 @@ def _count(g: TemporalGraph, levels: tuple[int, ...], delta_c: int,
     """
     tallies = {l: np.zeros(_tally_width(l), np.int64) for l in levels}
     windows = np.zeros((levels[-1] + 1, window_count), np.int64)
-    m = len(g.events)
-    ts = [e.t for e in g.events]
-    ends = [node for e in g.events for node in (e.src, e.dst)]
-    rank = {node: r for r, node in enumerate(dict.fromkeys(ends))}
-    flat = np.fromiter(map(rank.__getitem__, ends), np.int32, 2 * m)
-    # the events after each event's timestamp, past the end of its run of
-    # equal timestamps, then those within its ceiling
-    tie = np.zeros(m, np.int32)
-    np.cumsum(np.fromiter(map(ne, ts[1:], ts), np.int32, m - 1), out=tie[1:])
-    after = np.searchsorted(tie, tie, side="right").astype(np.int32)
-    end = np.fromiter(map(bisect_right, repeat(ts), map(add, ts, repeat(delta_c))),
-                      np.int32, m)
+    m, t = len(g), g.t
+    flat = np.empty(2 * m, np.int32)
+    flat[0::2], flat[1::2] = g.src, g.dst
+    # the events after each event's timestamp, then those within its
+    # ceiling; a ceiling past the span reaches no further than the span
+    # does, and clamped to it, t - ceiling cannot overflow
+    after = np.searchsorted(t, t, side="right").astype(np.int32)
+    end = np.searchsorted(t - min(delta_c, g.timespan), t, side="right").astype(np.int32)
     if window_count:  # a window is a run of events: find where each starts
-        t0, span = (ts or [0])[0], max(g.timespan, 1)
-        starts = [bisect_left(ts, w, key=lambda t: (t - t0) * window_count // span)
-                  for w in range(1, window_count)]
+        span = max(g.timespan, 1)
+        starts = np.searchsorted(t, [-(-w * span // window_count)
+                                     for w in range(1, window_count)])
         window_of = np.repeat(np.arange(window_count), np.diff([0, *starts, m]))
-    del ts, ends, rank, tie  # only the tables live on while rows grow
     order = np.argsort(flat, kind="stable").astype(np.int32)
     key = np.empty(2 * m + 1, np.int64)
     np.multiply(flat[order], m, out=key[:-1])

@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .codec import STOP, MotifCode, Pair
-from .events import Event, TemporalGraph, degrees, static_projection
+import numpy as np
+
+from .events import Event, TemporalGraph, degrees, static_edges
 
 PairsKey = tuple[Pair, ...]
 
@@ -155,14 +157,15 @@ def _validate(p: TransitionProfile) -> None:
 
 
 class _Proc:
-    """One live process during the scan."""
+    """One live process during the scan; its events are ``(src rank, dst
+    rank, time offset)`` rows."""
 
     __slots__ = ("digit_of", "pairs", "t_last", "events")
 
-    def __init__(self, ev: Event):
-        self.digit_of = {ev.src: 0, ev.dst: 1}
+    def __init__(self, ev: tuple[int, int, int]):
+        u, v, self.t_last = ev
+        self.digit_of = {u: 0, v: 1}
         self.pairs: PairsKey = ((0, 1),)
-        self.t_last = ev.t
         self.events = [ev]
 
 
@@ -177,15 +180,16 @@ def extract_profile(g: TemporalGraph, delta: int, l_max: int,
         raise ValueError(f"l_max must be at least 2, got {l_max}")
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if not g.events:
+    if not len(g):
         raise ValueError("cannot extract a profile from an empty graph")
 
     counts: Counter[tuple[PairsKey, PairsKey | None]] = Counter()
     dt_sum: Counter[tuple[PairsKey, PairsKey]] = Counter()
-    cold: list[Event] = []
+    cold: list[tuple[int, int, int]] = []  # rows, as the processes keep them
     records: list[ProcessRecord] | None = [] if keep_processes else None
     live: dict[_Proc, None] = {}  # least recently extended first: by t_last
-    holding: defaultdict[int, dict[_Proc, None]] = defaultdict(dict)  # by node
+    holding: defaultdict[int, dict[_Proc, None]] = defaultdict(dict)  # by node rank
+    ids, t0 = g.nodes, g.t0
 
     def retire(proc: _Proc, reason: str) -> None:
         del live[proc]
@@ -196,9 +200,11 @@ def extract_profile(g: TemporalGraph, delta: int, l_max: int,
                 del holding[node]
         counts[(proc.pairs, STOP)] += 1
         if records is not None:
-            records.append(ProcessRecord(proc.events, MotifCode(proc.pairs), reason))
+            records.append(ProcessRecord(
+                [Event(ids[u], ids[v], t0 + t) for u, v, t in proc.events],
+                MotifCode(proc.pairs), reason))
 
-    for ev in g.events:
+    for ev in zip(g.src.tolist(), g.dst.tolist(), g.t.tolist()):
         u, v, t = ev
         while live and t - (oldest := next(iter(live))).t_last > delta:
             retire(oldest, "time")
@@ -229,9 +235,13 @@ def extract_profile(g: TemporalGraph, delta: int, l_max: int,
     for proc in list(live):
         retire(proc, "end")
 
-    # Cold-event degree sequence and per-edge weights over the projection.
-    weights = Counter((e.src, e.dst) for e in cold)
-    cold_degrees = degrees(weights.keys())
+    # Cold-event degree sequence, by node id, and per-edge weights over the
+    # projection of the cold events.
+    n = g.node_count
+    cold_src, cold_dst, cold_t = zip(*cold)
+    edge_src, edge_dst, weights = static_edges(cold_src, cold_dst, n)
+    in_deg, out_deg = degrees(edge_src, edge_dst, n)
+    held = np.flatnonzero(in_deg + out_deg)
 
     def transition_key(src: PairsKey, dst: PairsKey | None) -> TransitionKey:
         return TransitionKey(MotifCode(src), dst if dst is STOP else MotifCode(dst))
@@ -239,14 +249,14 @@ def extract_profile(g: TemporalGraph, delta: int, l_max: int,
     return TransitionProfile(
         l_max=l_max,
         delta=delta,
-        k_ce=[cold_degrees[n] for n in sorted(cold_degrees)],
-        t_ce=[e.t for e in cold],
-        ce_edge_weights=sorted(weights.values()),
+        k_ce=list(zip(in_deg[held].tolist(), out_deg[held].tolist())),
+        t_ce=[t0 + t for t in cold_t],
+        ce_edge_weights=sorted(weights.tolist()),
         counts={transition_key(*k): c for k, c in counts.items()},
         delta_t_sums={transition_key(*k): (gap, counts[k])
                       for k, gap in dt_sum.items()},
-        input_event_count=len(g.events),
-        input_edge_count=len(static_projection(g)),
+        input_event_count=len(g),
+        input_edge_count=len(static_edges(g.src, g.dst, n)[0]),
         processes=records,
     )
 

@@ -232,6 +232,8 @@ def simulate(profile: TransitionProfile, cold_events: list[Event],
     order = np.argsort(proc, kind="stable")  # stable: each process keeps its level order
     sizes = np.bincount(proc, minlength=start.size)
     ts = np.rint(np.insert(t[order], np.cumsum(sizes) - sizes, start))
+    if ts.size and ts.max() >= 2**63:  # past any graph's span, and int64's range
+        raise GenerationError(f"replica times span {ts.max():.0f} s, 2**63 s or more")
     steps = zip(*(a[order].tolist() for a in digits))  # by process, then level
     del proc, digits, t, order  # a smaller peak: the pass reads only lists
     new_edge_p = new_edge_probability(
@@ -259,7 +261,7 @@ def simulate(profile: TransitionProfile, cold_events: list[Event],
             out_partners[u][v] = in_partners[v][u] = None
             us.append(u)
             vs.append(v)
-    return TemporalGraph.from_events(map(Event, us, vs, (t0 + int(t) for t in ts)))
+    return TemporalGraph.from_columns(us, vs, ts.astype(np.int64), t0)
 
 
 def generate(profile: TransitionProfile, config: GenerationConfig) -> TemporalGraph:

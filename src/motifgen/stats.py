@@ -8,15 +8,14 @@ and a batch of synthetic replicas.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import asdict, dataclass, fields
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 # count_motifs stays importable from here: bench/spans.py wraps it by name.
 from .counting import check_count_args, count_motifs, count_spectra  # noqa: F401
-from .events import TemporalGraph, degrees, static_projection
+from .events import TemporalGraph, degrees, static_edges
 
 
 @dataclass(frozen=True)
@@ -34,44 +33,40 @@ class GlobalStats:
         return asdict(self)
 
 
-def _weak_components(edges: Iterable[tuple[int, int]],
-                     nodes: Iterable[int]) -> list[int]:
-    """Component sizes of the undirected view, via union-find."""
-    parent: dict[int, int] = {n: n for n in nodes}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:  # path compression
-            parent[x], x = root, parent[x]
-        return root
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    sizes: Counter[int] = Counter(find(n) for n in parent)
-    return list(sizes.values())
+def _components(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Each of ``n`` nodes' weak-component label, by label propagation over
+    the edges ``src[i] -> dst[i]``: every label's root takes the least label
+    across its edges, then each label jumps to its root, until no edge joins
+    two labels."""
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[src], label[dst])
+        hooked = label.copy()
+        np.minimum.at(hooked, label[src], low)
+        np.minimum.at(hooked, label[dst], low)
+        while not np.array_equal(jumped := hooked[hooked], hooked):
+            hooked = jumped
+        if np.array_equal(hooked, label):
+            return label
+        label = hooked
 
 
 def global_stats(g: TemporalGraph) -> GlobalStats:
-    if not g.events:
+    if not len(g):
         raise ValueError("global statistics are undefined for an empty graph")
-    multiplicity = Counter((e.src, e.dst) for e in g.events)
-    proj = multiplicity.keys()  # the static projection
-    degree = degrees(proj)
-    comp_sizes = _weak_components(proj, degree)
-    n_events = len(g.events)
+    n, n_events = g.node_count, len(g)
+    src, dst, weight = static_edges(g.src, g.dst, n)
+    comp_sizes = np.bincount(_components(src, dst, n))
+    comp_sizes = comp_sizes[comp_sizes > 0]
     return GlobalStats(
-        edge_count=len(proj),
-        mean_degree=sum(i + o for i, o in degree.values()) / len(degree),
+        edge_count=len(src),
+        mean_degree=2 * len(src) / n,  # each edge adds one in- and one out-degree
         n_components=len(comp_sizes),
-        lcc_size=max(comp_sizes),
+        lcc_size=int(comp_sizes.max()),
         event_count=n_events,
         timespan_seconds=g.timespan,
         mean_iet=g.timespan / (n_events - 1) if n_events > 1 else 0.0,
-        max_events_on_edge=max(multiplicity.values()),
+        max_events_on_edge=int(weight.max()),
     )
 
 
@@ -101,14 +96,12 @@ def msre(synthetic_counts: Sequence[int], original_count: int) -> float:
         / len(synthetic_counts)
 
 
-def _samples(g: TemporalGraph) -> dict[str, list[int]]:
+def _samples(g: TemporalGraph) -> dict[str, np.ndarray]:
     """In- and out-degrees, gaps and timestamps shifted to 0, by name."""
-    in_out = degrees(static_projection(g)).values()
-    ts = [e.t for e in g.events]
-    return {"in_degree": [i for i, _o in in_out],
-            "out_degree": [o for _i, o in in_out],
-            "iet": [b - a for a, b in zip(ts, ts[1:])],
-            "timestamp": [t - ts[0] for t in ts]}
+    n = g.node_count
+    in_degree, out_degree = degrees(*static_edges(g.src, g.dst, n)[:2], n)
+    return {"in_degree": in_degree, "out_degree": out_degree,
+            "iet": np.diff(g.t), "timestamp": g.t}
 
 
 GLOBAL_METRICS = tuple(f.name for f in fields(GlobalStats))
@@ -128,6 +121,7 @@ def compare_report(original: TemporalGraph, synthetics: Sequence[TemporalGraph],
     """
     if not synthetics:
         raise ValueError("need at least one synthetic graph")
+    l_set = tuple(dict.fromkeys(l_set))  # each size once, in first-seen order
     check_count_args(l_set, delta_c)
     if window_count < 1:
         raise ValueError(f"window_count must be at least 1, got {window_count}")
@@ -142,7 +136,7 @@ def compare_report(original: TemporalGraph, synthetics: Sequence[TemporalGraph],
     orig_samples = _samples(original)
     per_replica = [{name: ks_statistic(orig_samples[name], sample)
                     for name, sample in _samples(s).items()
-                    if orig_samples[name] and sample} for s in synthetics]
+                    if len(orig_samples[name]) and len(sample)} for s in synthetics]
     ks_mean: dict[str, float | None] = {}
     for name in KS_DISTRIBUTIONS:  # over the replicas where both samples exist
         values = [ks[name] for ks in per_replica if name in ks]

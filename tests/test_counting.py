@@ -190,9 +190,9 @@ def test_stale_windows_of_a_node_off_the_last_event(inclusive):
 @pytest.mark.parametrize("inclusive, stale_needles", [(True, 48), (False, 32)])
 def test_cursors_stay_fresh(monkeypatch, inclusive, stale_needles):
     """Counts stay exact with a stale cursor, which only costs searches: pin
-    the bounds re-searched beyond the ``5m`` that ``after`` and the window
-    tables take. A cursor that misses an update of the instance's latest
-    event on a node searches more."""
+    the bounds re-searched beyond the ``6m`` that ``after``, ``end`` and the
+    window tables take. A cursor that misses an update of the instance's
+    latest event on a node searches more."""
     needles = []
     searchsorted = np.searchsorted
 
@@ -202,7 +202,7 @@ def test_cursors_stay_fresh(monkeypatch, inclusive, stale_needles):
 
     monkeypatch.setattr(np, "searchsorted", counted)
     count_motifs(TemporalGraph.from_events(STALE_STREAM), 4, ceiling(5, inclusive))
-    assert sum(needles) - 5 * len(STALE_STREAM) == stale_needles
+    assert sum(needles) - 6 * len(STALE_STREAM) == stale_needles
 
 
 def test_code_ids_are_dense_and_decode():
@@ -304,6 +304,25 @@ def test_spectra_exact_for_huge_ids_and_timestamps(inclusive):
                 assert spectra[l].counts == oracle_count(g, l, delta_c, inclusive)
                 assert spectra[l].windows == window_totals(
                     g, l, delta_c, 3, inclusive)
+
+
+def test_spectra_exact_at_the_largest_span():
+    """A span of 2**63 - 1 s, the longest a graph holds, counted under a
+    ceiling past it: neither the event windows nor the window bounds
+    overflow, whether the times start at 0 or beyond int64."""
+    rng = random.Random(64)
+    for start in (0, 2**62):
+        for _ in range(10):
+            small = random_stream(rng, n_events=rng.randint(2, 10),
+                                  n_nodes=rng.randint(2, 5), t_max=26)
+            g = TemporalGraph.from_events(
+                [(e.src, e.dst, start + (2**63 - 1) * e.t // 25) for e in small.events]
+                + [(0, 1, start), (1, 0, start + 2**63 - 1)])
+            assert g.timespan == 2**63 - 1
+            spectra = count_spectra(g, (2, 3, 4), 2**64, window_count=3)
+            for l in (2, 3, 4):
+                assert spectra[l].counts == oracle_count(g, l, 2**64)
+                assert spectra[l].windows == window_totals(g, l, 2**64, 3)
 
 
 def test_spectra_leave_no_reference_cycles():

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import random
 
 import pytest
@@ -9,7 +10,11 @@ from motifgen import (
     EdgeListParseError,
     EdgeListValidationError,
     Event,
+    GenerationConfig,
     TemporalGraph,
+    compare_report,
+    extract_profile,
+    generate,
     load_events,
     parse_events,
     save_events,
@@ -61,6 +66,70 @@ def test_parse_errors_carry_line_numbers():
     assert exc.value.lineno == 2
     with pytest.raises(EdgeListValidationError):
         parse_events("-1 2 3\n")
+
+
+@pytest.mark.parametrize("text, error, lineno", [
+    ("1 2\n3 4 5 6\n", EdgeListParseError, 1),  # six fields, but not three a line
+    ("1 2 3 4 5 6\n", EdgeListParseError, 1),
+    ("# header\n\n1 2 3\n\n  # note\n4 x 6\n", EdgeListParseError, 6),
+    ("# header\n1 2 3\n1 2 -3\n", EdgeListValidationError, 3),
+    ("1 2 3\n0x1 2 3\n", EdgeListParseError, 2),
+    ("1 2 3\n1 2 3 # note\n", EdgeListParseError, 2),
+])
+def test_parse_errors_name_the_line_to_blame(text, error, lineno):
+    for source in (text, io.StringIO(text)):
+        with pytest.raises(error) as exc:
+            parse_events(source)
+        assert type(exc.value) is error and exc.value.lineno == lineno
+
+
+@pytest.mark.parametrize("text, rows", [
+    ("1 2 3\r\n4 5 6\r\n", [(1, 2, 3), (4, 5, 6)]),
+    ("+5 1_000 3\n", [(5, 1000, 3)]),
+    ("1\t2\t3\n\n 4 5  6", [(1, 2, 3), (4, 5, 6)]),
+    ("\t7  8\x1f9 \n\n", [(7, 8, 9)]),  # blanks that str.split splits on
+    ("1 2 3\r4 5 6", [(1, 2, 3), (4, 5, 6)]),  # a lone CR ends a line of text
+    (f"1 2 {2**64}\n4 5 {2**64 + 3}\n", [(1, 2, 2**64), (4, 5, 2**64 + 3)]),
+    (f"{2**63 - 1} 2 3\n", [(2**63 - 1, 2, 3)]),
+])
+def test_parse_reads_what_int_reads(text, rows):
+    g = parse_events(text)
+    assert [tuple(e) for e in g.events] == rows
+    assert g == TemporalGraph(rows) != text
+
+
+def test_text_and_handle_parse_to_equal_graphs(tmp_path):
+    text = write_events(desk_scale_stream(n_events=500))
+    (tmp_path / "g.txt").write_text("# header\n" + text, encoding="ascii")
+    g = parse_events(text)
+    assert parse_events(io.StringIO(text)) == g == load_events(tmp_path / "g.txt")
+    assert write_events(g) == text
+
+
+def test_span_must_stay_below_2_63_seconds():
+    for rows in ([(0, 1, 0), (1, 2, 2**63)], [(0, 1, -1), (1, 2, 2**63 - 1)]):
+        with pytest.raises(ValueError, match=str(2**63)):
+            TemporalGraph(rows)
+    with pytest.raises(ValueError, match=str(2**63)):
+        parse_events(f"0 1 7\n1 2 {2**63 + 7}\n")
+    g = TemporalGraph([(0, 1, 5), (1, 2, 2**63 + 4)])
+    assert (g.t0, g.timespan) == (5, 2**63 - 1)
+
+
+def test_no_stage_reads_the_row_view(monkeypatch):
+    """Parse, extract, generate, write and compare read the columns only."""
+    text = write_events(desk_scale_stream(n_events=3000))
+
+    def unread(_g):
+        raise AssertionError("a stage read TemporalGraph.events")
+
+    monkeypatch.setattr(TemporalGraph, "events", property(unread))
+    g = parse_events(text)
+    profile = extract_profile(g, delta=3600, l_max=4, keep_processes=True)
+    replica = parse_events(write_events(generate(profile, GenerationConfig(seed=1))))
+    report = compare_report(g, [replica], delta_c=3600)
+    assert report["msre"]["2"]["original_total"] > 0
+    assert len(replica) > profile.cold_event_count
 
 
 def test_write_single_event_and_empty():

@@ -10,6 +10,7 @@ from motifgen import (
     CODE_01,
     Event,
     GenerationConfig,
+    GenerationError,
     MotifCode,
     TemporalGraph,
     encode,
@@ -424,6 +425,13 @@ def test_shifting_the_input_shifts_the_replica_exactly():
                               GenerationConfig(seed=7)) for h in (g, far))
     assert len(near) == 3107
     assert shifted.events == tuple(e._replace(t=e.t + 2**60) for e in near.events)
+
+
+def test_a_replica_spanning_2_63_seconds_raises():
+    # cold timestamps 2**63 s apart: no graph holds that span
+    profile = make_profile({}, t_ce=[5, 5 + 2**63])
+    with pytest.raises(GenerationError, match=r"2\*\*63"):
+        generate(profile, GenerationConfig(seed=0))
 
 
 # the toy stream of test_extraction at delta=5, l_max=3, as the version 1

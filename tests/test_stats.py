@@ -125,6 +125,14 @@ def test_compare_report_field_sets():
     assert report["replicas"] == 1
 
 
+def test_compare_report_counts_a_repeated_size_once():
+    g = _burst_graph()
+    once = compare_report(g, [g], delta_c=10, l_set=(3, 2), window_count=3)
+    assert compare_report(g, [g], delta_c=10, l_set=(3, 2, 3, 2),
+                          window_count=3) == once
+    assert once["params"]["l_set"] == [3, 2]
+
+
 def test_window_totals_zero_outside_burst():
     # all chainable events in the first tenth of the span
     events = [(1, 2, t) for t in range(0, 10)] + [(8, 9, 100)]
