@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .codec import MotifCode
-from .events import TemporalGraph
+from .events import TemporalGraph, end_index
 
 MAX_COUNT_EVENTS = 4  # l >= 5 counting is out of scope
 CHUNK_ROWS = 1024  # frontier rows grown at once; bounds the memory of a step
@@ -92,11 +92,12 @@ def _count(g: TemporalGraph, levels: tuple[int, ...], delta_c: int,
 
     The ends of the ``m`` events are numbered ``2 * event + side``, side 0
     for the source, and ``flat`` holds each end's node rank. The index
-    (``order``) lists every end grouped by node, in time order within a
-    node, so a node's events in a time range are one slice of it; its sort
-    key is ``node_rank * m + event``. Times are the graph's int64 offsets,
-    whose span is below 2**63, and a ceiling past the span is clamped to
-    it, so no timestamp or node id a graph holds can overflow. Per end,
+    (``order``, from :func:`~motifgen.events.end_index`) lists every end
+    grouped by node, in time order within a node, so a node's events in a
+    time range are one slice of it; its sort key is ``node_rank * m +
+    event``. Times are the graph's int64 offsets, whose span is below 2**63,
+    and a ceiling past the span is clamped to it, so no timestamp or node
+    id a graph holds can overflow. Per end,
     ``lo_at`` is the index entry of the node's first event after the
     event's timestamp and ``hi_at`` that of its first event beyond the
     event's ceiling.
@@ -112,8 +113,7 @@ def _count(g: TemporalGraph, levels: tuple[int, ...], delta_c: int,
     tallies = {l: np.zeros(_tally_width(l), np.int64) for l in levels}
     windows = np.zeros((levels[-1] + 1, window_count), np.int64)
     m, t = len(g), g.t
-    flat = np.empty(2 * m, np.int32)
-    flat[0::2], flat[1::2] = g.src, g.dst
+    flat, order = end_index(g)
     # the events after each event's timestamp, then those within its
     # ceiling; a ceiling past the span reaches no further than the span
     # does, and clamped to it, t - ceiling cannot overflow
@@ -124,7 +124,6 @@ def _count(g: TemporalGraph, levels: tuple[int, ...], delta_c: int,
         starts = np.searchsorted(t, [-(-w * span // window_count)
                                      for w in range(1, window_count)])
         window_of = np.repeat(np.arange(window_count), np.diff([0, *starts, m]))
-    order = np.argsort(flat, kind="stable").astype(np.int32)
     key = np.empty(2 * m + 1, np.int64)
     np.multiply(flat[order], m, out=key[:-1])
     key[:-1] += order >> 1

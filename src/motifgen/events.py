@@ -7,8 +7,9 @@ opaque non-negative integers (no compaction), timestamps are integer seconds.
 This module holds the package's one definition of a graph: building a
 :class:`TemporalGraph` drops self-loops (no motif code names one) and
 time-orders the events into columns. :func:`static_edges` is the one
-static projection of a set of events, and :func:`degrees` the one count of
-each node's in- and out-degree over it.
+static projection of a set of events, :func:`degrees` the one count of
+each node's in- and out-degree over it, and :func:`end_index` the one
+per-node index of event ends, which extraction and counting both walk.
 """
 
 from __future__ import annotations
@@ -161,6 +162,18 @@ def degrees(src: np.ndarray, dst: np.ndarray, n: int
     return np.bincount(dst, minlength=n), np.bincount(src, minlength=n)
 
 
+def end_index(g: TemporalGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The per-node index of event ends. The ``2 * m`` ends are numbered
+    ``2 * event + side``, side 0 for the source; returns each end's node
+    rank and every end grouped by node, in time order within a node."""
+    flat = np.empty(2 * len(g), np.int32)
+    flat[0::2], flat[1::2] = g.src, g.dst
+    # sorted as the narrowest unsigned type: numpy's stable sort is a radix
+    # sort for 8- and 16-bit keys
+    key = flat.astype(np.min_scalar_type(g.node_count))
+    return flat, np.argsort(key, kind="stable").astype(np.int32)
+
+
 def static_projection(g: TemporalGraph) -> set[tuple[int, int]]:
     """Deduplicated, direction-sensitive set of node pairs underlying ``g``."""
     src, dst, _ = static_edges(g.src, g.dst, g.node_count)
@@ -193,8 +206,9 @@ def _columns(text: str) -> np.ndarray | None:
     if (len(line) % 3 or (line[0::3] != line[2::3]).any()
             or (np.diff(line[0::3]) <= 0).any()):
         return None
-    # exact for digits below the int64 maximum, where numpy saturates
-    values = np.fromstring(text, np.int64, sep=" ")
+    # exact for digits below the int64 maximum, where numpy saturates; one
+    # value a field (text with no field at all would read as one 0)
+    values = np.fromstring(text, np.int64, sep=" ")[:len(start)]
     return values.reshape(-1, 3).T if values.max(initial=0) < 2**63 - 1 else None
 
 

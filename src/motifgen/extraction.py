@@ -1,33 +1,29 @@
-"""Single-pass extraction of motif-transition statistics from an event stream.
+"""Extraction of motif-transition statistics from an event stream.
 
-The scan keeps the live processes in order of their last event and, per
-node, the live processes holding it. An event retires those more than
-``delta`` after their last event, extends those holding one of its nodes
-(so its work follows them, not all live processes), retires any that reach
-``l_max`` events, and starts a process if it extended none (a cold event).
-The profile keeps what the scan counted: transition and stop counts, gap
-sums, and the cold events' degrees, edge weights and timestamps. The
-probabilities, exponential rates and mean final-motif edge count are derived
-from those counts whenever a profile is built. Saved profiles (format 2)
-store only the counted numbers, each gap count beside the equal count of
-its transition; format 1 files, which also stored the derived numbers, are
-still read.
+Every event starts a chain, which the earliest later event on a node it
+holds joins while that lies within ``delta`` of its last event, up to
+``l_max`` events. A cold event is one that no earlier cold event's chain
+holds, and its chain is a process. The chains are walked level by level over
+the per-node index of event ends, a block of starts at a time, and the
+profile tallies the cold chains. Probabilities, rates and the mean
+final-motif edge count are derived whenever a profile is built. Saved
+profiles (format 2) store only counted numbers, each gap count beside its
+equal transition count; format 1 files, which also stored derived numbers,
+are still read.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .codec import STOP, MotifCode, Pair
 import numpy as np
 
-from .events import Event, TemporalGraph, degrees, static_edges
-
-PairsKey = tuple[Pair, ...]
+from .codec import CODE_01, STOP, MotifCode
+from .events import Event, TemporalGraph, degrees, end_index, static_edges
 
 
 class TransitionKey(NamedTuple):
@@ -38,7 +34,10 @@ class TransitionKey(NamedTuple):
 
 
 class ProcessRecord(NamedTuple):
-    """Trace of one finished transition process (kept only on request)."""
+    """Trace of one finished transition process (kept only on request). They
+    are listed as they retire: a "size" stop at its last event, a "time" stop
+    at the first event over ``delta`` after it, an "end" stop at the end of
+    the stream; ties keep start order."""
 
     events: list[Event]
     code: MotifCode
@@ -94,9 +93,7 @@ class TransitionProfile:
                       if key.dst is STOP) / self.cold_event_count
 
     def stop_probability(self, code: MotifCode) -> float:
-        row = self.probs.get(code)
-        if not row:
-            return 1.0
+        row = self.probs.get(code, {})
         return max(0.0, 1.0 - sum(row.values()))  # guard float rounding
 
 
@@ -156,26 +153,41 @@ def _validate(p: TransitionProfile) -> None:
                 (v for pair in p.delta_t_sums.values() for v in pair), 0)
 
 
-class _Proc:
-    """One live process during the scan; its events are ``(src rank, dst
-    rank, time offset)`` rows."""
+BLOCK_STARTS = 4096  # chains walked at once; bounds the memory of the walk
 
-    __slots__ = ("digit_of", "pairs", "t_last", "events")
 
-    def __init__(self, ev: tuple[int, int, int]):
-        u, v, self.t_last = ev
-        self.digit_of = {u: 0, v: 1}
-        self.pairs: PairsKey = ((0, 1),)
-        self.events = [ev]
+def _walk(g: TemporalGraph, succ: np.ndarray, start: np.ndarray, dc: int,
+          l_max: int) -> list[tuple[np.ndarray, ...]]:
+    """Grow the chains of the events ``start`` a level at a time, each with
+    its nodes in digit order (-1 pads) and their next events after its last
+    (from ``succ``; ``m`` if none); the earliest joins if at most ``dc``
+    later. Per level: the grown chains' starts, the new event, digits, gap."""
+    m, t = len(g), g.t
+    root, last, fresh = start, start, np.full(len(start), 2)
+    nodes, ahead = np.stack((g.src[start], g.dst[start])), succ[:, start]
+    levels = []
+    while len(root) and len(levels) + 1 < l_max:
+        e = ahead.min(0)
+        gap = t[np.minimum(e, m - 1)] - t[last]
+        grow = np.flatnonzero((e < m) & (gap <= dc))
+        root, last, gap, fresh = root[grow], e[grow], gap[grow], fresh[grow]
+        nodes = np.concatenate((nodes[:, grow], np.full((1, len(grow)), -1, np.int32)))
+        ahead = np.concatenate((ahead[:, grow], np.full((1, len(grow)), m, np.int32)))
+        digits, grown = [], np.arange(len(grow))
+        for side, node in enumerate((g.src[last], g.dst[last])):  # the chain holds one
+            digit = fresh.copy()  # a node not held takes the next unused digit
+            for held, column in enumerate(nodes[:-1]):
+                digit[column == node] = held
+            nodes[digit, grown], ahead[digit, grown] = node, succ[side, last]
+            digits.append(digit)
+        fresh += np.maximum(*digits) == fresh
+        levels.append((root, last, *digits, gap))
+    return levels
 
 
 def extract_profile(g: TemporalGraph, delta: int, l_max: int,
                     keep_processes: bool = False) -> TransitionProfile:
-    """Run the scan over ``g`` and return the assembled profile.
-
-    One forward pass; per-event work follows the live processes holding the
-    event's two nodes and those that expire, not all live processes.
-    """
+    """The transition profile of ``g``, tallied from its cold events' chains."""
     if l_max < 2:
         raise ValueError(f"l_max must be at least 2, got {l_max}")
     if delta <= 0:
@@ -183,82 +195,77 @@ def extract_profile(g: TemporalGraph, delta: int, l_max: int,
     if not len(g):
         raise ValueError("cannot extract a profile from an empty graph")
 
-    counts: Counter[tuple[PairsKey, PairsKey | None]] = Counter()
-    dt_sum: Counter[tuple[PairsKey, PairsKey]] = Counter()
-    cold: list[tuple[int, int, int]] = []  # rows, as the processes keep them
-    records: list[ProcessRecord] | None = [] if keep_processes else None
-    live: dict[_Proc, None] = {}  # least recently extended first: by t_last
-    holding: defaultdict[int, dict[_Proc, None]] = defaultdict(dict)  # by node rank
-    ids, t0 = g.nodes, g.t0
+    m, t, n = len(g), g.t, g.node_count
+    dc = min(delta, g.timespan)  # no gap exceeds the span; clamped, none overflows
+    flat, order = end_index(g)
+    same = np.flatnonzero(flat[order[1:]] == flat[order[:-1]])  # next entry: same node
+    succ = np.full((2, m), m, np.int32)  # by side and event: the node's next event
+    succ[order[same] & 1, order[same] >> 1] = order[same + 1] >> 1
+    hot = bytearray(m + 1)  # the events an earlier cold chain holds; m pads
+    is_hot = np.frombuffer(hot, bool)
+    steps: dict[int, list[tuple[np.ndarray, ...]]] = {}  # per level: cold rows by block
+    for first in range(0, m, BLOCK_STARTS):
+        levels = _walk(g, succ, np.arange(first, min(m, first + BLOCK_STARTS)), dc, l_max)
+        chain = np.full((BLOCK_STARTS, len(levels)), m, np.int32)
+        for k, (root, e, *_rest) in enumerate(levels):
+            chain[root - first, k] = e
+        grew = levels[0][0]  # in start order, a cold chain marks what it holds
+        for i, later in zip(grew.tolist(), chain[grew - first].tolist()):
+            if not hot[i]:
+                for j in later:
+                    hot[j] = 1
+        for k, level in enumerate(levels):
+            steps.setdefault(k, []).append(tuple(c[~is_hot[level[0]]] for c in level))
 
-    def retire(proc: _Proc, reason: str) -> None:
-        del live[proc]
-        for node in proc.digit_of:  # drop emptied entries, so memory follows ``live``
-            on_node = holding[node]
-            del on_node[proc]
-            if not on_node:
-                del holding[node]
-        counts[(proc.pairs, STOP)] += 1
-        if records is not None:
-            records.append(ProcessRecord(
-                [Event(ids[u], ids[v], t0 + t) for u, v, t in proc.events],
-                MotifCode(proc.pairs), reason))
+    # tally a level at a time: a code id per chain, each distinct code built once
+    cold = np.flatnonzero(~is_hot[:m])
+    codes, code_of = [[CODE_01]], np.zeros(m, np.int64)  # by level; by start
+    counts, delta_t_sums = {}, {}
+    stops = Counter({CODE_01: len(cold)})  # chains reaching a code less those it passes on
+    for k, blocks in steps.items():  # event k + 2 joins: its digits lie in [0, k + 2]
+        first, last, a, b, gap = map(np.concatenate, zip(*blocks))
+        pair_values, pair = np.unique(a * (k + 3) + b, return_inverse=True)
+        keys, group, sizes = np.unique(code_of[first] * len(pair_values) + pair,
+                                       return_inverse=True, return_counts=True)
+        high, low = np.zeros((2, len(keys)), np.int64)  # gap sums, exact past int64
+        np.add.at(high, group, gap >> 32)
+        np.add.at(low, group, gap & 0xFFFFFFFF)
+        pairs, level = [divmod(v, k + 3) for v in pair_values.tolist()], []
+        for key, c, h, lo in zip(*(x.tolist() for x in (keys, sizes, high, low))):
+            src = codes[k][key // len(pairs)]
+            step = TransitionKey(src, MotifCode(src.pairs + (pairs[key % len(pairs)],)))
+            counts[step], delta_t_sums[step] = c, ((h << 32) + lo, c)
+            stops.update({src: -c, step.dst: c})
+            level.append(step.dst)
+        codes.append(level)
+        code_of[first] = group
+    counts.update((TransitionKey(code, STOP), c) for code, c in stops.items() if c)
 
-    for ev in zip(g.src.tolist(), g.dst.tolist(), g.t.tolist()):
-        u, v, t = ev
-        while live and t - (oldest := next(iter(live))).t_last > delta:
-            retire(oldest, "time")
-        extend = holding[u] | holding[v]  # those on u, then those only on v
-        if not extend:
-            cold.append(ev)
-            proc = _Proc(ev)
-            live[proc] = holding[u][proc] = holding[v][proc] = None
-            continue
-        for proc in extend:
-            digit_of = proc.digit_of
-            if u not in digit_of:
-                digit_of[u] = len(digit_of)
-                holding[u][proc] = None
-            if v not in digit_of:
-                digit_of[v] = len(digit_of)
-                holding[v][proc] = None
-            key = (proc.pairs, proc.pairs + ((digit_of[u], digit_of[v]),))
-            counts[key] += 1
-            dt_sum[key] += t - proc.t_last
-            proc.pairs, proc.t_last = key[1], t
-            proc.events.append(ev)
-            if len(key[1]) == l_max:
-                retire(proc, "size")
-            else:  # move to the back of ``live``
-                del live[proc]
-                live[proc] = None
-    for proc in list(live):
-        retire(proc, "end")
+    records = None
+    if keep_processes:  # in retirement order, ties in start order
+        chains = {c: [c] for c in cold.tolist()}
+        for first, last, *_rest in (s for blocks in steps.values() for s in blocks):
+            for c, e in zip(first.tolist(), last.tolist()):
+                chains[c].append(e)
+        after = np.searchsorted(t - dc, t, side="right").tolist()  # over delta later
+        ids, src, dst, tt = g.nodes, g.src.tolist(), g.dst.tolist(), t.tolist()
+        ended = sorted((chain[-1] if len(chain) == l_max else after[chain[-1]], chain)
+                       for chain in chains.values())
+        records = [ProcessRecord(
+            [Event(ids[src[e]], ids[dst[e]], g.t0 + tt[e]) for e in chain],
+            codes[len(chain) - 1][code_of[chain[0]]],
+            "size" if len(chain) == l_max else "time" if at < m else "end")
+            for at, chain in ended]
 
-    # Cold-event degree sequence, by node id, and per-edge weights over the
-    # projection of the cold events.
-    n = g.node_count
-    cold_src, cold_dst, cold_t = zip(*cold)
-    edge_src, edge_dst, weights = static_edges(cold_src, cold_dst, n)
+    edge_src, edge_dst, weights = static_edges(g.src[cold], g.dst[cold], n)
     in_deg, out_deg = degrees(edge_src, edge_dst, n)
     held = np.flatnonzero(in_deg + out_deg)
-
-    def transition_key(src: PairsKey, dst: PairsKey | None) -> TransitionKey:
-        return TransitionKey(MotifCode(src), dst if dst is STOP else MotifCode(dst))
-
     return TransitionProfile(
-        l_max=l_max,
-        delta=delta,
+        l_max=l_max, delta=delta, t_ce=[g.t0 + x for x in t[cold].tolist()],
         k_ce=list(zip(in_deg[held].tolist(), out_deg[held].tolist())),
-        t_ce=[t0 + t for t in cold_t],
         ce_edge_weights=sorted(weights.tolist()),
-        counts={transition_key(*k): c for k, c in counts.items()},
-        delta_t_sums={transition_key(*k): (gap, counts[k])
-                      for k, gap in dt_sum.items()},
-        input_event_count=len(g),
-        input_edge_count=len(static_edges(g.src, g.dst, n)[0]),
-        processes=records,
-    )
+        counts=counts, delta_t_sums=delta_t_sums, input_event_count=m,
+        input_edge_count=len(static_edges(g.src, g.dst, n)[0]), processes=records)
 
 
 def cold_event_fraction(profile: TransitionProfile) -> float:
@@ -280,8 +287,7 @@ def profile_to_dict(profile: TransitionProfile) -> dict:
 
     Only the additive statistics are written; everything derived from them
     is recomputed when the document is read back. Rows and their successors
-    are in code order, stop last, so the order in which the scan first met
-    each transition does not reach a saved file.
+    are in code order, stop last, whatever order the profile's dicts hold.
     """
     counts_nested: dict[str, dict[str, int]] = {}
     for key, c in sorted(profile.counts.items(), key=_code_order):
@@ -315,17 +321,11 @@ def profile_from_dict(doc: dict) -> TransitionProfile:
     if version not in _READABLE_VERSIONS:
         raise ValueError(f"unsupported profile version {version!r}")
     try:
-        counts: dict[TransitionKey, int] = {}
-        for src, row in doc["counts"].items():
-            for dst, c in row.items():
-                dst_state = STOP if dst == _STOP_KEY else MotifCode.from_string(dst)
-                counts[TransitionKey(MotifCode.from_string(src), dst_state)] = c
-        delta_t_sums: dict[TransitionKey, tuple[int, int]] = {}
-        for src, row in doc["delta_t"].items():
-            for dst, (s, n) in row.items():
-                key = TransitionKey(MotifCode.from_string(src),
-                                    MotifCode.from_string(dst))
-                delta_t_sums[key] = (s, n)
+        code = MotifCode.from_string
+        counts = {TransitionKey(code(src), STOP if dst == _STOP_KEY else code(dst)): c
+                  for src, row in doc["counts"].items() for dst, c in row.items()}
+        delta_t_sums = {TransitionKey(code(src), code(dst)): (s, n) for src, row
+                        in doc["delta_t"].items() for dst, (s, n) in row.items()}
         return TransitionProfile(
             l_max=doc["l_max"],
             delta=doc["delta"],

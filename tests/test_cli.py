@@ -78,8 +78,9 @@ def test_extract_large_lmax_reports_the_possible_types(tmp_path):
     assert json.loads(out.read_text())["l_max"] == 9
 
 
-@pytest.mark.parametrize("content", ["# x\n", "1 1 5\n"],
-                         ids=["comments_only", "self_loops_only"])
+@pytest.mark.parametrize("content", ["# x\n", "1 1 5\n", "\n", "# x\n\n"],
+                         ids=["comments_only", "self_loops_only", "blank_line",
+                              "comment_and_blank_line"])
 def test_extract_rejects_an_empty_edge_list(tmp_path, content):
     path = write_toy(tmp_path, content=content)
     out = tmp_path / "p.json"

@@ -98,6 +98,13 @@ def test_parse_reads_what_int_reads(text, rows):
     assert g == TemporalGraph(rows) != text
 
 
+@pytest.mark.parametrize("text", ["", "# a\n", "\n", "  \n", "# header\n\n", "\t\n \n"])
+def test_text_without_events_parses_to_the_empty_graph(text):
+    for source in (text, io.StringIO(text)):
+        g = parse_events(source)
+        assert len(g) == 0 and g == TemporalGraph([])
+
+
 def test_text_and_handle_parse_to_equal_graphs(tmp_path):
     text = write_events(desk_scale_stream(n_events=500))
     (tmp_path / "g.txt").write_text("# header\n" + text, encoding="ascii")

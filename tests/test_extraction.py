@@ -187,7 +187,7 @@ def test_matches_oracle_on_random_streams():
 
 def test_matches_oracle_on_longer_streams():
     # beyond the acceptance criterion's tiny streams: exercises snapshot
-    # semantics, expiry sweeps and multi-extension at realistic depth
+    # semantics, expiry and multi-extension at realistic depth
     rng = random.Random(777)
     for _ in range(60):
         g = random_stream(rng, n_events=rng.randint(20, 60),
@@ -201,9 +201,47 @@ def test_matches_oracle_on_longer_streams():
         assert profile_counts_as_oracle(profile) == oracle["counts"]
 
 
+def test_gap_sums_past_int64_match_oracle():
+    # three overlapping 01 -> 0101 processes, each gap 2**62: the sum of the
+    # three gaps passes the int64 maximum
+    g = TemporalGraph.from_events([(0, 1, 0), (2, 3, 1), (4, 5, 2), (0, 1, 2**62),
+                                   (2, 3, 2**62 + 1), (4, 5, 2**62 + 2)])
+    _assert_matches_oracle(g, delta=2**62 + 5, l_max=2)
+    profile = extract_profile(g, delta=2**62 + 5, l_max=2)
+    key = TransitionKey(code("01"), code("0101"))
+    assert profile.delta_t_sums == {key: (3 * 2**62, 3)}
+
+
+def test_delta_past_the_span_acts_as_the_span():
+    rng = random.Random(58)
+    for _ in range(20):
+        g = random_stream(rng, n_events=rng.randint(2, 40), n_nodes=rng.randint(2, 6),
+                          t_max=rng.randint(2, 100))
+        if not g.timespan:
+            continue
+        l_max = rng.randint(2, 5)
+        wide, span = (extract_profile(g, delta=d, l_max=l_max) for d in (2**70, g.timespan))
+        assert (wide.counts, wide.delta_t_sums, wide.t_ce, wide.k_ce) == (
+            span.counts, span.delta_t_sums, span.t_ce, span.k_ce)
+        _assert_matches_oracle(g, delta=2**70, l_max=l_max)
+
+
+@pytest.mark.parametrize("l_max", [13, 10**6])
+def test_thirteen_event_star_matches_oracle(l_max):
+    # every event brings a new node: digits reach 13, and a chain ends at
+    # 13 events however large l_max is
+    g = TemporalGraph.from_events([(0, i, i) if i % 2 else (i, 0, i)
+                                   for i in range(1, 14)])
+    _assert_matches_oracle(g, delta=5, l_max=l_max)
+    (record,) = extract_profile(g, delta=5, l_max=l_max, keep_processes=True).processes
+    assert (tuple(record.events), record.code, record.stop_reason) == (
+        oracle_extract(g, delta=5, l_max=l_max)["processes"][0])
+    assert record.code.l == 13 and record.stop_reason == ("size" if l_max == 13 else "end")
+
+
 def _retired_at(record, events, delta: int) -> float:
-    """When the scan retires a process: at the event that fills it, at the
-    first event more than ``delta`` after its last one, or at the end."""
+    """When a process retires: at the event that fills it, at the first
+    event more than ``delta`` after its last one, or at the end."""
     if record.stop_reason == "size":
         return record.events[-1].t
     if record.stop_reason == "time":
@@ -221,6 +259,13 @@ def test_stop_reasons_in_retirement_order():
     assert [(r.events[0].t, r.events[-1].t, r.code.render(), r.stop_reason)
             for r in profile.processes] == [
         (0, 5, "010212", "size"), (1, 1, "01", "time"), (8, 15, "0101", "end")]
+    # a tie: both processes retire at the event at t=13, the one last
+    # extended at t=2 as well as the one idle since t=1; start order holds
+    g = TemporalGraph.from_events([(1, 2, 0), (3, 4, 1), (1, 5, 2), (6, 7, 13)])
+    profile = extract_profile(g, delta=10, l_max=3, keep_processes=True)
+    assert [(r.events[0].t, r.events[-1].t, r.code.render(), r.stop_reason)
+            for r in profile.processes] == [
+        (0, 2, "0102", "time"), (1, 1, "01", "time"), (13, 13, "01", "end")]
 
 
 def test_process_records_match_oracle():
