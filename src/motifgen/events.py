@@ -15,7 +15,7 @@ per-node index of event ends, which extraction and counting both walk.
 from __future__ import annotations
 
 import io
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,8 +68,8 @@ class TemporalGraph:
     them in ``dropped_self_loops``. The columns are read-only.
 
     ``events`` is a row view derived from the columns: a tuple of
-    :class:`Event`, built on first access. The package's stages read the
-    columns.
+    :class:`Event`, built on first access, which iterating a graph yields.
+    The package's stages read the columns.
     """
 
     __slots__ = ("src", "dst", "t", "t0", "nodes", "dropped_self_loops", "_rows")
@@ -123,6 +123,9 @@ class TemporalGraph:
                                    map(ids.__getitem__, self.dst.tolist()),
                                    [t0 + t for t in self.t.tolist()]))
         return self._rows
+
+    def __iter__(self) -> Iterator[Event]:
+        return iter(self.events)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TemporalGraph):

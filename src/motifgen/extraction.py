@@ -14,6 +14,7 @@ are still read.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
@@ -104,9 +105,12 @@ def _code_order(item: tuple[TransitionKey, object]) -> tuple:
 
 
 def _check_ints(what: str, values, low: float = 0) -> None:
-    for v in values:
-        if type(v) is not int or v < low:
-            raise ValueError(f"{what}: expected integers >= {low}, got {v!r}")
+    values = list(values)  # C-level passes read the types and the least value
+    if {*map(type, values)} <= {int} and (low == -math.inf
+                                          or min(values, default=low) >= low):
+        return
+    bad = next(v for v in values if type(v) is not int or v < low)
+    raise ValueError(f"{what}: expected integers >= {low}, got {bad!r}")
 
 
 def _validate(p: TransitionProfile) -> None:
@@ -115,11 +119,11 @@ def _validate(p: TransitionProfile) -> None:
     _check_ints("delta and input event and edge counts",
                 [p.delta, p.input_event_count, p.input_edge_count], 1)
     _check_ints("cold timestamps", p.t_ce, -math.inf)
-    if any(len(pair) != 2 for pair in p.k_ce):
+    if {*map(len, p.k_ce)} - {2}:
         raise ValueError("k_ce entries must be (in, out) degree pairs")
-    _check_ints("cold degrees", [d for pair in p.k_ce for d in pair])
-    stubs_in = sum(i for i, _o in p.k_ce)
-    stubs_out = sum(o for _i, o in p.k_ce)
+    degrees = [d for pair in p.k_ce for d in pair]  # in, out, in, out, ...
+    _check_ints("cold degrees", degrees)
+    stubs_in, stubs_out = sum(degrees[0::2]), sum(degrees[1::2])
     if stubs_in != stubs_out:
         raise ValueError(f"unbalanced stub totals: {stubs_out} out vs {stubs_in} in")
     if len(p.ce_edge_weights) != stubs_out:
@@ -141,7 +145,7 @@ def _validate(p: TransitionProfile) -> None:
         if dst.pairs[:-1] != src.pairs or dst.l > p.l_max:
             raise ValueError(f"{dst} does not extend {src} by one event "
                              f"within l_max {p.l_max}")
-        if p.delta_t_sums.get(TransitionKey(src, dst), (0, None))[1] != c:
+        if p.delta_t_sums.get((src, dst), (0, None))[1] != c:
             raise ValueError(f"gap count of {src} -> {dst} differs from "
                              f"its transition count {c}")
     if stops != len(p.t_ce):
@@ -289,13 +293,14 @@ def profile_to_dict(profile: TransitionProfile) -> dict:
     is recomputed when the document is read back. Rows and their successors
     are in code order, stop last, whatever order the profile's dicts hold.
     """
+    render = functools.cache(MotifCode.render)  # each distinct code once
     counts_nested: dict[str, dict[str, int]] = {}
     for key, c in sorted(profile.counts.items(), key=_code_order):
-        dst = _STOP_KEY if key.dst is STOP else key.dst.render()
-        counts_nested.setdefault(key.src.render(), {})[dst] = c
+        dst = _STOP_KEY if key.dst is STOP else render(key.dst)
+        counts_nested.setdefault(render(key.src), {})[dst] = c
     dt_nested: dict[str, dict[str, list[int]]] = {}
     for key, (s, n) in sorted(profile.delta_t_sums.items(), key=_code_order):
-        dt_nested.setdefault(key.src.render(), {})[key.dst.render()] = [s, n]
+        dt_nested.setdefault(render(key.src), {})[render(key.dst)] = [s, n]
     return {
         "version": PROFILE_FORMAT_VERSION,
         "l_max": profile.l_max,
@@ -321,7 +326,7 @@ def profile_from_dict(doc: dict) -> TransitionProfile:
     if version not in _READABLE_VERSIONS:
         raise ValueError(f"unsupported profile version {version!r}")
     try:
-        code = MotifCode.from_string
+        code = functools.cache(MotifCode.from_string)  # each distinct string once
         counts = {TransitionKey(code(src), STOP if dst == _STOP_KEY else code(dst)): c
                   for src, row in doc["counts"].items() for dst, c in row.items()}
         delta_t_sums = {TransitionKey(code(src), code(dst)): (s, n) for src, row
@@ -344,9 +349,11 @@ def profile_from_dict(doc: dict) -> TransitionProfile:
 
 
 def save_profile(profile: TransitionProfile, path) -> None:
+    """One compact line per top-level key: ``json`` encodes in C without ``indent``."""
+    lines = (f"{json.dumps(key)}:{json.dumps(value, separators=(',', ':'))}"
+             for key, value in profile_to_dict(profile).items())
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(profile_to_dict(profile), fh, indent=1)
-        fh.write("\n")
+        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
 
 
 def load_profile(path) -> TransitionProfile:

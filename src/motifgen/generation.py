@@ -1,24 +1,24 @@
 """Synthesis of a temporal graph from an extracted transition profile.
 
 Cold events come first: a configuration model rewires the cold-event degree
-sequence into static edges, the per-edge event-count multiset is shuffled
-onto them, and the cold timestamps are dealt out accordingly. Each cold event
-then seeds a transition process that walks the probability rows, draws
+sequence into static edges, the per-edge event-count multiset is shuffled onto
+them, and the cold timestamps are dealt out into a graph's columns. Each cold
+event then seeds a transition process that walks the probability rows, draws
 exponential gaps from the matching rates, and resolves new-node digits to
 endpoints through the adjacency emitted so far. One generator, seeded once per
-graph, supplies every draw: the cold events, then every chain's codes and
-gaps level by level, then the partners of new digits in cold-event order.
+graph, supplies every draw: the cold events, then every chain's codes and gaps
+level by level, then the partners of new digits in cold-event order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
 from .codec import CODE_01
-from .events import Event, TemporalGraph
+from .events import TemporalGraph, _ints, static_edges
 from .extraction import TransitionKey, TransitionProfile
 
 _SHUFFLE_TRIES = 100
@@ -39,18 +39,18 @@ class GenerationConfig:
 
 
 def _match_stubs(out_stubs: list[int], in_stubs: list[int],
-                 rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Uniform stub matching avoiding self-loops and duplicate pairs.
-
-    Both tiers walk a forward Fisher-Yates shuffle of the in-stubs, step
-    ``k`` drawing ``j ~ U[k, n)``. Whole-shuffle rejection, restarted at the
-    first bad pair, keeps the matching exactly uniform over the admissible
-    ones; when no clean shuffle shows up (likely only at scale) bad pairs
-    are re-drawn locally and dropped as a last resort.
+                 rng: np.random.Generator) -> tuple[list[int], list[int]]:
+    """Uniform stub matching avoiding self-loops and duplicate pairs; returns
+    the matched pairs' sources and targets. Both tiers walk a forward
+    Fisher-Yates shuffle of the in-stubs, step ``k`` drawing ``j ~ U[k, n)``.
+    Whole-shuffle rejection, restarted at the first bad pair, keeps the
+    matching exactly uniform over the admissible ones; when no clean shuffle
+    shows up (likely only at scale) bad pairs are re-drawn locally and
+    dropped as a last resort.
     """
     n, lows = len(out_stubs), np.arange(len(out_stubs))
     for _ in range(_SHUFFLE_TRIES):
-        edges, pairs, moved = set(), [], {}  # moved: position -> in-stub index
+        edges, dsts, moved = set(), [], {}  # moved: position -> in-stub index
         blocks = (rng.integers(lows[k:k + _BLOCK], n).tolist() for k in range(0, n, _BLOCK))
         for k, j in enumerate(chain.from_iterable(blocks)):
             s, d = out_stubs[k], in_stubs[moved.get(j, j)]
@@ -58,16 +58,15 @@ def _match_stubs(out_stubs: list[int], in_stubs: list[int],
             if s == d or (s, d) in edges:
                 break
             edges.add((s, d))
-            pairs.append((s, d))
+            dsts.append(d)
         else:
-            return pairs
+            return out_stubs, dsts
 
     outs = [out_stubs[j] for j in rng.permutation(n).tolist()]
     ins = [in_stubs[j] for j in rng.permutation(n).tolist()]
     first = rng.integers(lows, n).tolist()
-    edges, pairs = set(), []
-    for k in range(n):
-        s = outs[k]
+    edges, srcs, dsts = set(), [], []
+    for k, s in enumerate(outs):
         placed = -1
         for tries in range(_PAIR_TRIES):
             j = int(rng.integers(k, n)) if tries else first[k]
@@ -75,27 +74,25 @@ def _match_stubs(out_stubs: list[int], in_stubs: list[int],
                 placed = j
                 break
         if placed < 0:  # scan the remaining in-stubs before harsher measures
-            for j in range(k, n):
-                if s != ins[j] and (s, ins[j]) not in edges:
-                    placed = j
-                    break
+            placed = next((j for j in range(k, n)
+                           if s != ins[j] and (s, ins[j]) not in edges), -1)
         if placed >= 0:
             ins[k], ins[placed] = ins[placed], ins[k]
-            edges.add((s, ins[k]))
-            pairs.append((s, ins[k]))
-        else:
-            # re-target a placed pair to free a partner; failing even that,
-            # the stub pair is genuinely unplaceable and gets dropped
-            _repair_wedge(s, ins, k, n, edges, pairs)
-    return pairs
+            d = ins[k]
+        else:  # re-target a placed pair; failing that, the stub pair drops
+            d = _repair_wedge(s, ins, k, n, edges, srcs, dsts)
+            if d is None:
+                continue
+        edges.add((s, d))
+        srcs.append(s)
+        dsts.append(d)
+    return srcs, dsts
 
 
-def _repair_wedge(s: int, ins: list[int], k: int, n: int,
-                  edges: set[tuple[int, int]],
-                  pairs: list[tuple[int, int]]) -> bool:
-    """Free a partner for out-stub ``s`` by re-targeting one placed pair."""
-    for m in range(len(pairs)):
-        s2, d2 = pairs[m]
+def _repair_wedge(s: int, ins: list[int], k: int, n: int, edges: set[tuple[int, int]],
+                  srcs: list[int], dsts: list[int]) -> int | None:
+    """The partner one re-targeted placed pair frees for out-stub ``s``, or ``None``."""
+    for m, (s2, d2) in enumerate(zip(srcs, dsts)):
         if s == d2 or (s, d2) in edges:
             continue
         for j in range(k, n):
@@ -104,36 +101,34 @@ def _repair_wedge(s: int, ins: list[int], k: int, n: int,
                 ins[k], ins[j] = ins[j], ins[k]
                 edges.remove((s2, d2))
                 edges.add((s2, d))
-                edges.add((s, d2))
-                pairs[m] = (s2, d)
-                pairs.append((s, d2))
-                return True
-    return False
+                dsts[m] = d
+                return d2
+    return None
 
 
 def generate_cold_events(profile: TransitionProfile,
-                         rng: np.random.Generator) -> list[Event]:
+                         rng: np.random.Generator) -> TemporalGraph:
     """Rebuild the cold events of a synthetic run from the profile.
 
     The output reproduces the cold timestamp multiset exactly; its static
     projection realizes the extracted degree sequence up to dropped stub
-    pairs.
+    pairs. Each matched pair takes as many permuted times as its weight.
     """
-    in_stubs, out_stubs = ([i for i, k in enumerate(profile.k_ce) for _ in range(k[c])]
-                           for c in (0, 1))
-    pairs = _match_stubs(out_stubs, in_stubs, rng)
-    if not pairs:
+    t = _ints(profile.t_ce)  # int64, or Python ints past its range
+    t0, span = int(t.min()), int(t.max()) - int(t.min())
+    if span >= 2**63:  # past any graph's span
+        raise GenerationError(f"cold times span {span} s, 2**63 s or more")
+    ins, outs = (np.repeat(np.arange(len(k)), k).tolist() for k in zip(*profile.k_ce))
+    src, dst = _match_stubs(outs, ins, rng)  # stubs: a node's id once per degree
+    if not src:
         raise GenerationError("stub matching produced no edges")
 
-    weights = profile.ce_edge_weights
-    assigned = [weights[j] for j in rng.permutation(len(weights))[:len(pairs)]]
-    for _ in range(sum(weights) - sum(assigned)):  # events of dropped pairs
-        assigned[int(rng.integers(len(assigned)))] += 1
-
-    ts = iter([profile.t_ce[j] for j in rng.permutation(len(profile.t_ce)).tolist()])
-    events = [Event(u, v, int(t))
-              for (u, v), w in zip(pairs, assigned) for t in islice(ts, w)]
-    return sorted(events, key=lambda e: e.t)
+    weights = np.asarray(profile.ce_edge_weights)
+    assigned = weights[rng.permutation(len(weights))[:len(src)]]
+    for _ in range(len(t) - int(assigned.sum())):  # events of dropped pairs
+        assigned[rng.integers(len(assigned))] += 1
+    return TemporalGraph.from_columns(np.repeat(src, assigned), np.repeat(dst, assigned),
+                                      (t - t0)[rng.permutation(len(t))], t0)
 
 
 def new_edge_probability(profile: TransitionProfile, n_cold_edges: int,
@@ -200,7 +195,7 @@ def _compile(profile: TransitionProfile) -> tuple:
     return cum, nxt, scale, src, dst
 
 
-def simulate(profile: TransitionProfile, cold_events: list[Event],
+def simulate(profile: TransitionProfile, cold: TemporalGraph,
              rng: np.random.Generator) -> TemporalGraph:
     """Grow every cold event into a transition process and emit the result.
 
@@ -211,12 +206,14 @@ def simulate(profile: TransitionProfile, cold_events: list[Event],
     A brand-new node gets an id past every node of the cold events.
     """
     cum, nxt, scale, src, dst = _compile(profile)
-    t0 = min((e.t for e in cold_events), default=0)  # float offsets keep any t0 exact
-    start = np.array([e.t - t0 for e in cold_events], dtype=float)
-    live = np.arange(start.size if profile.probs.get(CODE_01) else 0)  # all start at 01
+    start = cold.t.astype(float)  # offsets from cold.t0, so any t0 stays exact
+    every = np.arange(start.size)
+    # per level: process, the entry's src and dst, time; level 0, the cold
+    # event, has src -1 to mark where a process opens
+    steps = [(every, np.full_like(every, -1), np.ones_like(every), start)]
+    live = every if profile.probs.get(CODE_01) else every[:0]  # all start at 01
     st, t = np.zeros(live.size, dtype=np.intp), start[live]
-    steps = []  # per level: process, the entry's src and dst, time
-    while live.size or not steps:  # at least once, so that steps is not empty
+    while live.size:
         u = rng.random(live.size)
         pick = np.zeros(live.size, dtype=np.intp)
         for c in range(cum.shape[1] - 1):  # the first entry whose sum > u
@@ -230,38 +227,41 @@ def simulate(profile: TransitionProfile, cold_events: list[Event],
 
     proc, *digits, t = map(np.concatenate, zip(*steps))
     order = np.argsort(proc, kind="stable")  # stable: each process keeps its level order
-    sizes = np.bincount(proc, minlength=start.size)
-    ts = np.rint(np.insert(t[order], np.cumsum(sizes) - sizes, start))
+    ts = np.rint(t[order])
     if ts.size and ts.max() >= 2**63:  # past any graph's span, and int64's range
         raise GenerationError(f"replica times span {ts.max():.0f} s, 2**63 s or more")
-    steps = zip(*(a[order].tolist() for a in digits))  # by process, then level
-    del proc, digits, t, order  # a smaller peak: the pass reads only lists
+    s_digits, d_digits = (a[order].tolist() for a in digits)  # by process, then level
+    del steps, proc, digits, t, order  # a smaller peak: the pass reads only lists
     new_edge_p = new_edge_probability(
-        profile, len({(e.src, e.dst) for e in cold_events}), len(cold_events))
+        profile, len(static_edges(cold.src, cold.dst, cold.node_count)[0]), len(cold))
     nodes: list[int] = []  # in order of first appearance
     out_partners: dict[int, dict[int, None]] = {}  # targets by source
     in_partners: dict[int, dict[int, None]] = {}  # sources by target
-    minted = max((max(e.src, e.dst) for e in cold_events), default=-1)
-    us, vs = [], []
-    for cold, size in zip(cold_events, sizes.tolist()):
-        nodes_v = [cold.src, cold.dst]  # the cold event's digits 0 and 1 are in use
-        for s_d, d_d in chain([(0, 1)], islice(steps, size)):
-            if len(nodes_v) in (s_d, d_d):  # a new digit: its partner becomes node n
-                linked = (in_partners[nodes_v[d_d]] if s_d == len(nodes_v)
-                          else out_partners[nodes_v[s_d]])
-                w = select_edge_for_new_digit(nodes, linked, set(nodes_v), new_edge_p, rng)
-                if w is None:
-                    minted = w = minted + 1
-                nodes_v.append(w)
-            u, v = nodes_v[s_d], nodes_v[d_d]
-            for node in (u, v):
+    ids = cold.nodes
+    colds = zip(map(ids.__getitem__, cold.src.tolist()),
+                map(ids.__getitem__, cold.dst.tolist()))
+    minted, us, vs = ids[-1] if ids else -1, [], []
+    for s_d, d_d in zip(s_digits, d_digits):
+        if s_d < 0:  # the next cold event opens its process as digits 0 and 1
+            nodes_v, s_d = list(next(colds)), 0
+            for node in nodes_v:  # a node first appears in a cold event, or as a mint
                 if node not in out_partners:
                     out_partners[node], in_partners[node] = {}, {}
                     nodes.append(node)
-            out_partners[u][v] = in_partners[v][u] = None
-            us.append(u)
-            vs.append(v)
-    return TemporalGraph.from_columns(us, vs, ts.astype(np.int64), t0)
+        elif len(nodes_v) in (s_d, d_d):  # a new digit: its partner becomes node n
+            linked = (in_partners[nodes_v[d_d]] if s_d == len(nodes_v)
+                      else out_partners[nodes_v[s_d]])
+            w = select_edge_for_new_digit(nodes, linked, set(nodes_v), new_edge_p, rng)
+            if w is None:
+                minted = w = minted + 1
+                out_partners[w], in_partners[w] = {}, {}
+                nodes.append(w)
+            nodes_v.append(w)
+        u, v = nodes_v[s_d], nodes_v[d_d]
+        out_partners[u][v] = in_partners[v][u] = None
+        us.append(u)
+        vs.append(v)
+    return TemporalGraph.from_columns(us, vs, ts.astype(np.int64), cold.t0)
 
 
 def generate(profile: TransitionProfile, config: GenerationConfig) -> TemporalGraph:

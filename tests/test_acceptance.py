@@ -357,7 +357,7 @@ def test_criterion_9_sampler_statistics():
     n = 10_000
     outcomes = Counter()
     for seed in range(n):
-        out = simulate(branch, [Event(0, 1, 0)], np.random.default_rng(seed))
+        out = simulate(branch, TemporalGraph([Event(0, 1, 0)]), np.random.default_rng(seed))
         outcomes[encode(out.events).render()] += 1
     freq = outcomes["011202"] / n
     sigma = (0.6 * 0.4 / n) ** 0.5

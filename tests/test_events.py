@@ -139,6 +139,13 @@ def test_no_stage_reads_the_row_view(monkeypatch):
     assert len(replica) > profile.cold_event_count
 
 
+def test_iterating_a_graph_yields_its_row_view():
+    g = random_stream(random.Random(5), n_events=50, n_nodes=6, t_max=300)
+    assert list(g) == list(g.events)
+    assert TemporalGraph(g) == g
+    assert list(TemporalGraph([])) == []
+
+
 def test_write_single_event_and_empty():
     assert write_events(TemporalGraph.from_events([(0, 1, 0)])) == "0 1 0\n"
     assert write_events(TemporalGraph.from_events([])) == ""

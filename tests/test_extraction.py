@@ -370,6 +370,19 @@ def test_saved_profile_stores_each_number_once(tmp_path):
     assert not {"probs", "rates", "mu", "cold_event_count"} & set(doc)
 
 
+def test_saved_profile_has_a_line_per_key_and_indented_files_load(tmp_path):
+    profile = extract_profile(TOY_STREAM, delta=5, l_max=3)
+    path = tmp_path / "profile.json"
+    save_profile(profile, path)
+    doc = profile_to_dict(profile)
+    lines = path.read_text(encoding="ascii").splitlines()
+    assert (lines[0], lines[-1], len(lines)) == ("{", "}", len(doc) + 2)
+    assert json.loads(path.read_text()) == doc
+    indented = tmp_path / "indented.json"  # the layout written before
+    indented.write_text(json.dumps(doc, indent=1) + "\n")
+    assert load_profile(indented) == profile
+
+
 def _shifted(g: TemporalGraph, offset: int) -> TemporalGraph:
     return TemporalGraph.from_events([(e.src + offset, e.dst + offset, e.t)
                                       for e in g.events])

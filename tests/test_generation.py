@@ -82,10 +82,9 @@ def test_repair_wedge_retargets_a_placed_pair():
     # in-stub instead and hands its partner 1 to out-stub 0
     ins = [1, 0]
     edges = {(2, 1)}
-    pairs = [(2, 1)]
-    assert _repair_wedge(0, ins, 1, 2, edges, pairs) is True
-    assert pairs == [(2, 0), (0, 1)]
-    assert edges == set(pairs)
+    srcs, dsts = [2], [1]
+    assert _repair_wedge(0, ins, 1, 2, edges, srcs, dsts) == 1
+    assert (srcs, dsts, edges) == ([2], [0], {(2, 0)})
 
 
 def test_unbalanced_stub_totals_rejected():
@@ -238,14 +237,14 @@ def test_minted_nodes_get_ids_past_every_cold_node():
     # node 2, so the minted node must not be numbered 2
     profile = make_profile({"01": {"0112": 1.0}}, l_max=3)
     for seed in range(10):
-        out = simulate(profile, [Event(0, 1, 0), Event(2, 0, 100)],
+        out = simulate(profile, TemporalGraph([Event(0, 1, 0), Event(2, 0, 100)]),
                        np.random.default_rng(seed))
         assert [(e.src, e.dst) for e in out.events][:2] == [(0, 1), (1, 3)]
 
 
 def test_no_cold_events_give_an_empty_graph():
     profile = make_profile({"01": {"0112": 1.0}}, l_max=3)
-    assert simulate(profile, [], np.random.default_rng(0)).events == ()
+    assert simulate(profile, TemporalGraph([]), np.random.default_rng(0)).events == ()
 
 
 def test_exponential_transition_times():
@@ -274,7 +273,8 @@ def test_branch_frequencies_match_rows():
     n = 10_000
     outcomes: Counter = Counter()
     for seed in range(n):
-        out = simulate(profile, [Event(0, 1, 0)], np.random.default_rng(seed))
+        cold = TemporalGraph([Event(0, 1, 0)])
+        out = simulate(profile, cold, np.random.default_rng(seed))
         outcomes[encode(out.events).render()] += 1
     freq_triangle = outcomes["011202"] / n
     freq_star = outcomes["011213"] / n
@@ -287,7 +287,8 @@ def test_single_process_codes_are_row_supported():
     g = random_stream(rng, n_events=250, n_nodes=8, t_max=800)
     profile = extract_profile(g, delta=120, l_max=4)
     for seed in range(200):
-        out = simulate(profile, [Event(1, 2, 0)], np.random.default_rng(seed))
+        cold = TemporalGraph([Event(1, 2, 0)])
+        out = simulate(profile, cold, np.random.default_rng(seed))
         events = list(out.events)
         assert [e.t for e in events] == sorted(e.t for e in events)
         full = encode(events)
@@ -432,6 +433,26 @@ def test_a_replica_spanning_2_63_seconds_raises():
     profile = make_profile({}, t_ce=[5, 5 + 2**63])
     with pytest.raises(GenerationError, match=r"2\*\*63"):
         generate(profile, GenerationConfig(seed=0))
+
+
+def test_gaps_carrying_a_replica_past_2_63_seconds_raise():
+    # the cold times lie close together, but a mean gap of 1e21 s carries
+    # the replica past any graph's span
+    profile = make_profile({"01": {"0110": 1.0}}, rates={("01", "0110"): 1e-21},
+                           l_max=2, k_ce=[(0, 1), (1, 0)], t_ce=[0], ce_edge_weights=[1])
+    with pytest.raises(GenerationError, match=r"replica times span .*2\*\*63"):
+        generate(profile, GenerationConfig(seed=0))
+
+
+def test_cold_times_past_int64_with_a_small_span_stay_exact():
+    # the times lie far past int64, their span does not: offsets carry them
+    profile = make_profile({"01": {"0112": 1.0}}, t_ce=[2**70, 2**70 + 5],
+                           k_ce=[(0, 1), (1, 0), (1, 1)], ce_edge_weights=[1, 1])
+    for seed in range(5):
+        cold = generate_cold_events(profile, np.random.default_rng(seed))
+        assert [e.t for e in cold] == [2**70, 2**70 + 5]
+        out = generate(profile, GenerationConfig(seed=seed))
+        assert out.t0 == 2**70 and {2**70, 2**70 + 5} <= {e.t for e in out}
 
 
 # the toy stream of test_extraction at delta=5, l_max=3, as the version 1
