@@ -47,6 +47,11 @@ class MotifCode:
 
     def __post_init__(self):
         _check_pairs(self.pairs)
+        # hashed once: codes key every profile dict, so they are hashed often
+        object.__setattr__(self, "_hash", hash((self.pairs,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def l(self) -> int:

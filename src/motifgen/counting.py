@@ -15,7 +15,8 @@ made stale. Canonical digits are assigned as each event joins, so each
 instance lands directly on its type code, kept as a dense id that one
 fixed-size tally per size counts. Rows are grown a chunk at a time, depth
 first, so memory is bounded by one chunk's growth, not by the number of
-instances.
+instances. At the deepest size, the events on the last event's two nodes
+are counted once per event, by kind, not listed once per instance.
 
 Growing to depth ``max(l_set)`` passes every shorter instance on its way, so
 :func:`count_spectra` records each size in ``l_set`` as it goes
@@ -33,11 +34,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import MotifCode
+from .codec import MotifCode, enumerate_codes
 from .events import TemporalGraph, end_index
 
 MAX_COUNT_EVENTS = 4  # l >= 5 counting is out of scope
-CHUNK_ROWS = 1024  # frontier rows grown at once; bounds the memory of a step
+CHUNK_ROWS = 4096  # frontier rows grown at once; bounds the memory of a step
 TABLE_ROWS = 16384  # index entries whose windows are searched at once
 
 
@@ -86,6 +87,44 @@ def _decode(code_id: int, l: int) -> MotifCode:
     return MotifCode(((0, 1), *reversed(pairs)))
 
 
+def _grown_ids(size: int) -> np.ndarray:
+    """Per code id of ``size`` events (0 where unused), the ids that the six
+    kinds of event of :func:`_end_counts` grow it to."""
+    grown = np.zeros((_tally_width(size), 6), np.int64)
+    for c in enumerate_codes(size):
+        code_id = 0
+        for j, (a, b) in enumerate(c.pairs[1:], 2):
+            code_id = _extend_id(code_id, j, a, b)
+        (a, b), n = c.pairs[-1], c.n
+        grown[code_id] = [_extend_id(code_id, size + 1, s, d) for s, d in
+                          ((a, n), (n, a), (b, n), (n, b), (a, b), (b, a))]
+    return grown
+
+
+def _end_counts(flat: np.ndarray, order: np.ndarray, lo_at: np.ndarray,
+                hi_at: np.ndarray) -> np.ndarray:
+    """Per event ``u -> v``, its two nodes' events within its ceiling, as
+    int32: ``u``'s out-events but ``u -> v``, its in-events but ``v -> u``,
+    the same two for ``v``, then ``u -> v`` and ``v -> u``."""
+    m = len(flat) // 2
+    table = np.empty((m, 6), np.int32)
+    lo, hi = lo_at.reshape(m, 2), hi_at.reshape(m, 2)
+    for i in range(0, m, CHUNK_ROWS):  # the pairs, from u's slices
+        first = lo[i:i + CHUNK_ROWS, 0]
+        n = hi[i:i + CHUNK_ROWS, 0] - first
+        e = np.repeat(np.arange(len(n)), n)
+        found = order[np.arange(len(e)) + np.repeat(first - np.cumsum(n) + n, n)]
+        to_v = np.flatnonzero(flat[found ^ 1] == flat[2 * (i + e) + 1])
+        table[i:i + len(n), 4:] = np.bincount(
+            (found[to_v] & 1) * len(n) + e[to_v], minlength=2 * len(n)).reshape(2, -1).T
+    sources = np.zeros(2 * m + 1, np.int32)  # source ends before each entry
+    np.cumsum((order & 1) == 0, out=sources[1:])
+    out = sources[hi] - sources[lo]
+    table[:, 0:4:2] = out - table[:, 4:]
+    table[:, 1:4:2] = hi - lo - out - table[:, 5:3:-1]
+    return table
+
+
 def _count(g: TemporalGraph, levels: tuple[int, ...], delta_c: int,
            window_count: int) -> tuple[dict[int, np.ndarray], list[list[int]]]:
     """Tallies by code id, and window totals, at every size in ``levels``.
@@ -109,6 +148,14 @@ def _count(g: TemporalGraph, levels: tuple[int, ...], delta_c: int,
     fall short only where the node has events of its own between the
     cursor's event and the last event (the lower bound) or between their
     ceilings (the upper); only such stale bounds are binary-searched.
+
+    A row one short of ``levels[-1]`` whose last event is ``u -> v`` reads
+    no slice of ``u`` or ``v``: it adds that event's :func:`_end_counts` at
+    the ids :func:`_grown_ids` gives its code (float64 bincounts, below
+    2**53 a chunk). An event of an older node's slice whose other end is
+    ``u`` or ``v`` counts from that slice, either way, and off the table's
+    fresh-node count. A row whose last ceiling crosses its root's window
+    end reads every slice, so its instances are credited one by one.
     """
     tallies = {l: np.zeros(_tally_width(l), np.int64) for l in levels}
     windows = np.zeros((levels[-1] + 1, window_count), np.int64)
@@ -124,6 +171,7 @@ def _count(g: TemporalGraph, levels: tuple[int, ...], delta_c: int,
         starts = np.searchsorted(t, [-(-w * span // window_count)
                                      for w in range(1, window_count)])
         window_of = np.repeat(np.arange(window_count), np.diff([0, *starts, m]))
+        window_end = np.append(starts, m)  # past each window
     key = np.empty(2 * m + 1, np.int64)
     np.multiply(flat[order], m, out=key[:-1])
     key[:-1] += order >> 1
@@ -135,6 +183,9 @@ def _count(g: TemporalGraph, levels: tuple[int, ...], delta_c: int,
         base = key[i:i + len(part)] - e
         lo_at[part] = np.searchsorted(key, base + after[e])
         hi_at[part] = np.searchsorted(key, base + end[e])
+    deepest = levels[-1] - 1  # rows of this size tally their last event's nodes
+    table, grown_to = _end_counts(flat, order, lo_at, hi_at), _grown_ids(deepest)
+    deep = np.zeros(grown_to.size, np.int64)  # tallies by code id * 6 + column
     roots = np.arange(m, dtype=np.int32)  # a root is the cursor of both its nodes
     stack = [(1, roots, roots, np.zeros(m, np.int32), flat.reshape(m, 2),
               np.broadcast_to(roots[:, None], (m, 2)))]
@@ -148,7 +199,17 @@ def _count(g: TemporalGraph, levels: tuple[int, ...], delta_c: int,
             continue
         valid = nodes >= 0
         fresh = valid.sum(1, dtype=np.int8)  # each row's next unused digit
-        row, slot = np.nonzero(valid)
+        # by digit, and one more for the next unused
+        unread = np.zeros((len(root), nodes.shape[1] + 1), bool)
+        if size == deepest:  # the table counts the last event's two nodes,
+            # unless the last ceiling crosses the end of the root's window
+            tallied = np.ones(len(root), bool)
+            if window_count:
+                stop = window_end[window_of[root]]
+                inside = end[last] <= stop
+                tallied = inside | (after[last] >= stop)
+            unread[:, :-1] = (cursor == last[:, None]) & tallied[:, None]
+        row, slot = np.nonzero(valid & ~unread[:, :-1])
         node, at = nodes[row, slot], 2 * cursor[row, slot]
         at += flat[at] != node  # the end of the node's latest event
         lo, hi = lo_at[at], hi_at[at]
@@ -169,8 +230,22 @@ def _count(g: TemporalGraph, levels: tuple[int, ...], delta_c: int,
             hit = column[row] == found_other
             digit[hit] = held_digit
             known |= hit
-        # an event found in the lists of two held nodes counts once
-        keep = np.flatnonzero(found_src | ~known)
+        # an event in the lists of two held nodes counts once: from its
+        # source's when both are read, else from the one that is
+        keep = found_src | ~known
+        if size == deepest:  # the table counted these with a fresh digit
+            unlisted = np.flatnonzero(known & unread[row, digit])
+            keep[unlisted] = True
+            counts = np.where(tallied[:, None], table[last], 0)
+            is_v = found_other[unlisted] == flat[2 * last[row[unlisted]] + 1]
+            counts -= np.bincount(6 * row[unlisted] + 2 * is_v + found_src[unlisted],
+                                  minlength=counts.size).reshape(counts.shape)
+            deep += np.bincount((6 * code[:, None] + np.arange(6)).ravel(), counts.ravel(),
+                                grown_to.size).astype(np.int64)
+            if window_count:
+                windows[size + 1] += np.bincount(window_of[root], counts.sum(1) * inside,
+                                                 window_count).astype(np.int64)
+        keep = np.flatnonzero(keep)
         row, slot, found, found_src, found_other, digit = (
             a[keep] for a in (row, slot, found, found_src, found_other, digit))
         e = found >> 1
@@ -192,6 +267,7 @@ def _count(g: TemporalGraph, levels: tuple[int, ...], delta_c: int,
             latest[grown, slot] = e
             latest[grown, digit] = e
             stack.append((size, root[row], e, code, held, latest))
+    np.add.at(tallies[levels[-1]], grown_to.ravel(), deep)
     return tallies, windows.tolist()
 
 

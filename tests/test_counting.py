@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from motifgen import (Event, MotifCode, TemporalGraph, count_motifs,
-                      count_spectra, enumerate_codes, extract_profile,
-                      global_stats)
-from motifgen.counting import CHUNK_ROWS, _decode, _extend_id, _tally_width
+                      count_spectra, counting, enumerate_codes,
+                      extract_profile, global_stats)
+from motifgen.counting import _decode, _extend_id, _tally_width
 
 from helpers import oracle_count, random_stream, window_totals
 from surrogate import desk_scale_stream
@@ -219,6 +219,105 @@ def test_code_ids_are_dense_and_decode():
     assert [_tally_width(l) for l in (2, 3, 4)] == [9, 144, 3600]
 
 
+# ------------------------------------------------- the deepest level's tally
+
+L_SETS = [(2,), (3,), (4,), (2, 3, 4)]
+
+
+def _assert_matches_oracle(g, delta_c, window_count=0):
+    """Every size set's counts, and windows when asked, against the oracle."""
+    for l_set in L_SETS:
+        spectra = count_spectra(g, l_set, delta_c, window_count=window_count)
+        for l in l_set:
+            assert spectra[l].counts == oracle_count(g, l, delta_c), f"{l_set}, l={l}"
+            if window_count:
+                assert spectra[l].windows == window_totals(
+                    g, l, delta_c, window_count), f"{l_set}, l={l}"
+
+
+SIX_KINDS = [
+    (1, 2, 0),  # the root: u = 1, v = 2
+    (1, 3, 1),  # u's out-event
+    (3, 1, 2),  # u's in-event
+    (2, 4, 3),  # v's out-event
+    (4, 2, 4),  # v's in-event
+    (1, 2, 5),  # u -> v
+    (2, 1, 6),  # v -> u
+]
+
+
+def test_each_kind_of_event_on_the_last_events_nodes():
+    """An event of each of the six kinds the deepest level tallies per event
+    follows the root, and the root's two-event instances name each kind."""
+    g = TemporalGraph.from_events(SIX_KINDS)
+    counts = count_motifs(g, 2, 10).counts
+    for kind in ("0102", "0120", "0112", "0121", "0101", "0110"):
+        assert counts[code(kind)] >= 1, kind
+    _assert_matches_oracle(g, 10)
+    _assert_matches_oracle(g, 3, window_count=3)
+
+
+OLDER_NODES = [
+    (7, 8, 0), (8, 1, 1), (1, 9, 2),  # a chain: 7 and 8 are older than (1, 9)
+    (7, 8, 3), (8, 7, 4),  # two older nodes joined, both ways
+    (7, 1, 5), (1, 8, 6),  # older nodes to and from u
+    (9, 7, 7), (8, 9, 8),  # older nodes to and from v
+    (1, 9, 9), (9, 1, 9),  # u and v joined, tied with each other
+]
+
+
+def test_older_nodes_joined_to_the_last_events_nodes():
+    """An older node's event with ``u`` or ``v`` is counted from the older
+    node's list in either direction, and never again as a fresh node's."""
+    g = TemporalGraph.from_events(OLDER_NODES)
+    _assert_matches_oracle(g, 10)
+    _assert_matches_oracle(g, 4)
+    _assert_matches_oracle(g, 10, window_count=4)
+
+
+TIED_AT_EDGES = [
+    (1, 2, 0), (2, 3, 5),
+    (3, 1, 5), (1, 4, 5),  # tied with the last event: never after it
+    (1, 3, 10), (4, 2, 10),  # on the last event's ceiling
+    (3, 2, 11), (2, 1, 11),  # past it
+    (5, 6, 20),  # stretches the span: windows end at t = 5, 10 and 15
+]
+
+
+def test_equal_timestamps_at_the_edges_of_a_window():
+    g = TemporalGraph.from_events(TIED_AT_EDGES)
+    for window_count in (0, 2, 4):
+        _assert_matches_oracle(g, 5, window_count=window_count)
+
+
+CROSSING = [
+    (1, 2, 0), (2, 3, 2),  # the root, and a last event in the root's window
+    (3, 1, 3), (1, 2, 4),  # after it, in the root's window
+    (2, 3, 6), (3, 2, 7),  # after it, in the next window
+    (5, 6, 10),  # windows end at t = 5 and 10
+]
+
+
+def test_a_last_window_across_the_roots_window_end():
+    """The events after ``(2, 3, 2)`` within its ceiling lie on both sides
+    of the end of the root's window; only those on the root's side count
+    for the root's window."""
+    g = TemporalGraph.from_events(CROSSING)
+    spectra = count_spectra(g, (3,), 5, window_count=2)
+    assert spectra[3].windows == window_totals(g, 3, 5, 2)
+    _assert_matches_oracle(g, 5, window_count=2)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3])
+def test_rows_across_chunk_boundaries(monkeypatch, chunk_rows):
+    """A chunk of one or three rows: the rows of one last event and the
+    pair counts of its nodes fall in different chunks."""
+    monkeypatch.setattr(counting, "CHUNK_ROWS", chunk_rows)
+    for g, delta_c, window_count in _tie_streams(2026, 25):
+        _assert_matches_oracle(g, delta_c, window_count)
+    _assert_matches_oracle(TemporalGraph.from_events(OLDER_NODES), 10, 4)
+
+
 # ------------------------------------------------------- one-pass spectra
 
 def _tie_streams(seed: int, count: int):
@@ -370,16 +469,18 @@ PINNED_DIGESTS = {
 
 
 @pytest.mark.parametrize("stream", ["desk", "dense"])
-def test_spectra_digests_are_pinned(stream):
+def test_spectra_digests_are_pinned(monkeypatch, stream):
     """Counts and windows of two surrogate streams, at both ceilings, pinned.
 
     The desk-like stream has 5,000 events and the dense one (``mean_iet=10``)
     3,000, so the root events fill several chunks of the counting engine and
     the deeper levels grown from one chunk of rows hold more than one chunk.
+    The chunk is set to 1,024 rows for this, below the default.
     """
+    monkeypatch.setattr(counting, "CHUNK_ROWS", 1024)
     g = (desk_scale_stream(n_events=5000) if stream == "desk"
          else desk_scale_stream(n_events=3000, mean_iet=10))
-    assert len(g) > 2 * CHUNK_ROWS
+    assert len(g) > 2 * counting.CHUNK_ROWS
     for inclusive in (True, False):
         assert _spectra_digests(g, ceiling(3600, inclusive)) \
             == PINNED_DIGESTS[stream, inclusive], f"inclusive={inclusive}"
