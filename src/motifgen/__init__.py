@@ -11,7 +11,6 @@ from .codec import (
     STOP,
     MotifCode,
     MotifEncodingError,
-    encode,
     enumerate_codes,
     transition_type_count,
 )
@@ -24,7 +23,6 @@ from .events import (
     load_events,
     parse_events,
     save_events,
-    static_projection,
     write_events,
 )
 from .extraction import (
@@ -67,7 +65,6 @@ __all__ = [
     "compare_report",
     "count_motifs",
     "count_spectra",
-    "encode",
     "enumerate_codes",
     "extract_profile",
     "generate",
@@ -83,7 +80,6 @@ __all__ = [
     "save_events",
     "save_profile",
     "simulate",
-    "static_projection",
     "transition_type_count",
     "write_events",
 ]

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
-
-from .events import Event
+from typing import Sequence
 
 Pair = tuple[int, int]
 
@@ -95,21 +93,6 @@ class MotifCode:
 
 
 CODE_01 = MotifCode(((0, 1),))
-
-
-def encode(events: Iterable[Event | tuple]) -> MotifCode:
-    """Canonical code of an ordered, prefix-connected event list; for any other
-    list (a self-loop, a disconnected event, no event) ``MotifCode`` raises."""
-    digit_of: dict[int, int] = {}
-    pairs: list[Pair] = []
-    for ev in events:
-        u, v = ev[0], ev[1]
-        if u not in digit_of:
-            digit_of[u] = len(digit_of)
-        if v not in digit_of:
-            digit_of[v] = len(digit_of)
-        pairs.append((digit_of[u], digit_of[v]))
-    return MotifCode(tuple(pairs))
 
 
 MAX_SPECTRUM_EVENTS = 6  # spectrum growth is combinatorial; larger l has no use here

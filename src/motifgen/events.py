@@ -177,14 +177,6 @@ def end_index(g: TemporalGraph) -> tuple[np.ndarray, np.ndarray]:
     return flat, np.argsort(key, kind="stable").astype(np.int32)
 
 
-def static_projection(g: TemporalGraph) -> set[tuple[int, int]]:
-    """Deduplicated, direction-sensitive set of node pairs underlying ``g``."""
-    src, dst, _ = static_edges(g.src, g.dst, g.node_count)
-    ids = g.nodes
-    return set(zip(map(ids.__getitem__, src.tolist()),
-                   map(ids.__getitem__, dst.tolist())))
-
-
 def _columns(text: str) -> np.ndarray | None:
     """The ``src``, ``dst`` and ``t`` values of an edge list as the rows of
     a ``(3, m)`` array, or ``None`` where the line loop must read it: a line

@@ -2,7 +2,10 @@
 
 The oracles restate the definitions from scratch (per-process first-match
 trajectories, exhaustive ordered-subset enumeration) so they share no code
-path with the implementations they check.
+path with the implementations they check. They assign motif digits with
+:func:`encode` below, so they share no digit assignment with ``src/`` either:
+only ``MotifCode``, whose constructor checks the code's rule, comes from the
+package.
 """
 
 from __future__ import annotations
@@ -11,10 +14,28 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import lcm
+from typing import Iterable
 
 from motifgen import (STOP, Event, MotifCode, TemporalGraph, TransitionProfile,
-                      encode, enumerate_codes)
+                      enumerate_codes)
 from motifgen.extraction import TransitionKey
+
+
+def encode(events: Iterable[Event | tuple]) -> MotifCode:
+    """Canonical code of an ordered, prefix-connected event list: each node
+    takes the next digit at its first appearance, source before target. For
+    any other list (a self-loop, a disconnected event, no event)
+    ``MotifCode`` raises."""
+    digit_of: dict[int, int] = {}
+    pairs: list[tuple[int, int]] = []
+    for ev in events:
+        u, v = ev[0], ev[1]
+        if u not in digit_of:
+            digit_of[u] = len(digit_of)
+        if v not in digit_of:
+            digit_of[v] = len(digit_of)
+        pairs.append((digit_of[u], digit_of[v]))
+    return MotifCode(tuple(pairs))
 
 
 def random_stream(rng: random.Random, n_events: int, n_nodes: int,

@@ -31,7 +31,6 @@ from motifgen import (
     load_events,
     save_profile,
     simulate,
-    encode,
     transition_type_count,
 )
 from motifgen.cli import main as cli_main
@@ -40,6 +39,7 @@ from motifgen.stats import (KS_DISTRIBUTIONS, _samples, global_stats,
                             ks_statistic, msre)
 
 from helpers import (
+    encode,
     make_profile,
     oracle_count,
     oracle_extract,

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from motifgen import (
     MotifCode,
     MotifEncodingError,
-    encode,
     enumerate_codes,
     transition_type_count,
 )
+
+from helpers import encode
 
 
 def code(s: str) -> MotifCode:

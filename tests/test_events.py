@@ -1,6 +1,7 @@
 import hashlib
 import io
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +19,9 @@ from motifgen import (
     load_events,
     parse_events,
     save_events,
-    static_projection,
     write_events,
 )
+from motifgen.events import static_edges
 
 from helpers import random_stream
 from surrogate import desk_scale_stream
@@ -181,20 +182,27 @@ def test_sort_is_stable(raw):
         assert at_t_sorted == at_t_input
 
 
-def test_static_projection_dedup_and_direction():
-    assert static_projection(TemporalGraph.from_events(
-        [(1, 2, 5), (1, 2, 9)])) == {(1, 2)}
-    assert static_projection(TemporalGraph.from_events(
-        [(1, 2, 5), (2, 1, 6)])) == {(1, 2), (2, 1)}
+def _static_pairs(g: TemporalGraph) -> dict[tuple[int, int], int]:
+    """``static_edges`` of ``g`` as node-id pairs, read through ``g.nodes``,
+    mapped to their event counts, in the order ``static_edges`` returns."""
+    src, dst, weight = static_edges(g.src, g.dst, g.node_count)
+    return {(g.nodes[s], g.nodes[d]): w
+            for s, d, w in zip(src.tolist(), dst.tolist(), weight.tolist())}
 
 
-def test_static_projection_matches_brute_force():
+def test_static_edges_dedup_and_direction():
+    assert _static_pairs(TemporalGraph.from_events(
+        [(1, 2, 5), (1, 2, 9)])) == {(1, 2): 2}
+    assert _static_pairs(TemporalGraph.from_events(
+        [(1, 2, 5), (2, 1, 6)])) == {(1, 2): 1, (2, 1): 1}
+
+
+def test_static_edges_matches_brute_force():
     rng = random.Random(7)
     g = random_stream(rng, n_events=50, n_nodes=8, t_max=100)
-    brute = set()
-    for e in g.events:
-        brute.add((e.src, e.dst))
-    assert static_projection(g) == brute
+    pairs = _static_pairs(g)
+    assert pairs == Counter((e.src, e.dst) for e in g.events)
+    assert list(pairs) == sorted(pairs)
 
 
 def test_graph_properties():

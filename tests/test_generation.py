@@ -13,7 +13,6 @@ from motifgen import (
     GenerationError,
     MotifCode,
     TemporalGraph,
-    encode,
     extract_profile,
     generate,
     generate_cold_events,
@@ -27,7 +26,7 @@ from motifgen import generation
 from motifgen.extraction import TransitionKey
 from motifgen.generation import _repair_wedge, select_edge_for_new_digit
 
-from helpers import make_profile, random_stream
+from helpers import encode, make_profile, random_stream
 from surrogate import desk_scale_stream
 
 
