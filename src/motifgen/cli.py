@@ -21,7 +21,7 @@ from .counting import MAX_COUNT_EVENTS, count_motifs
 from .events import TemporalGraph, load_events, write_events
 from .extraction import (cold_event_fraction, extract_profile, load_profile,
                          observed_transition_type_count, save_profile)
-from .generation import GenerationConfig, GenerationError, generate
+from .generation import GenerationConfig, generate
 from .stats import GLOBAL_METRICS, compare_report, global_stats
 
 DEFAULT_L_MAX = 4
@@ -94,7 +94,7 @@ def generate_cmd(profile_path: str, seed: int, runs: int, out_path: str):
         run_seed = seed + i
         try:
             g = generate(profile, GenerationConfig(seed=run_seed))
-        except GenerationError as exc:  # e.g. cold degrees that admit no edge
+        except ValueError as exc:  # cold degrees that admit no edge, too long a span
             raise click.ClickException(f"{profile_path}: {exc}")
         path = _run_path(out_path, i) if runs > 1 else Path(out_path)
         header = (f"# generated by motifgen {__version__}: "

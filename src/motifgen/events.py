@@ -15,6 +15,7 @@ per-node index of event ends, which extraction and counting both walk.
 from __future__ import annotations
 
 import io
+import re
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -182,14 +183,12 @@ def _columns(text: str) -> np.ndarray | None:
     a ``(3, m)`` array, or ``None`` where the line loop must read it: a line
     without exactly three fields, a field with a character other than a
     digit (a sign, an underscore, a letter), a value of 2**63 - 1 or more,
-    or breaks or blanks that the loop might split otherwise."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    if not text.isascii() or any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e"):
+    a lone carriage return, or a blank other than a space or a tab."""
+    text = text.replace("\r\n", "\n")
+    if not text.isascii() or "\r" in text:
         return None
     if "#" in text:  # comment lines go; the loop numbers the lines it reads
-        text = "\n".join(line for line in text.split("\n")
-                         if not line.lstrip().startswith("#"))
+        text = re.sub(r"\n[ \t]*#[^\n]*", "\n", "\n" + text)[1:]
     data = np.frombuffer(text.encode("ascii"), np.uint8)
     newline = data == 10
     blank = (data == 32) | newline | (data == 9)
@@ -215,6 +214,8 @@ def parse_events(source: str | IO[str]) -> TemporalGraph:
     dropped, as everywhere a graph is built. Raises
     :class:`EdgeListParseError` for malformed lines and
     :class:`EdgeListValidationError` for negative node ids or timestamps.
+    Text and handles share one line rule: a line ends at LF, CR or CR LF,
+    and any other break character is a blank within its line.
     The fields are converted in bulk; a loop over the lines reads what the
     bulk read does not take, and names the line at fault.
     """
@@ -222,10 +223,8 @@ def parse_events(source: str | IO[str]) -> TemporalGraph:
     columns = _columns(text)
     if columns is not None:
         return TemporalGraph.from_columns(*columns)
-    # a handle's lines end at its newlines only
-    lines = text.splitlines() if isinstance(source, str) else io.StringIO(text, newline="")
     events: list[Event] = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(io.StringIO(text, newline=""), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

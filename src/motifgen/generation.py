@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from .codec import CODE_01
-from .events import TemporalGraph, _ints, static_edges
+from .events import TemporalGraph, static_edges
 from .extraction import TransitionKey, TransitionProfile
 
 _SHUFFLE_TRIES = 100
@@ -112,12 +112,10 @@ def generate_cold_events(profile: TransitionProfile,
 
     The output reproduces the cold timestamp multiset exactly; its static
     projection realizes the extracted degree sequence up to dropped stub
-    pairs. Each matched pair takes as many permuted times as its weight.
+    pairs. Each matched pair takes as many permuted times as its weight; the
+    graph takes them as they are, and owns the rule on their span.
     """
-    t = _ints(profile.t_ce)  # int64, or Python ints past its range
-    t0, span = int(t.min()), int(t.max()) - int(t.min())
-    if span >= 2**63:  # past any graph's span
-        raise GenerationError(f"cold times span {span} s, 2**63 s or more")
+    t = profile.t_ce  # Python ints of any size, so permuted as objects
     ins, outs = (np.repeat(np.arange(len(k)), k).tolist() for k in zip(*profile.k_ce))
     src, dst = _match_stubs(outs, ins, rng)  # stubs: a node's id once per degree
     if not src:
@@ -128,7 +126,7 @@ def generate_cold_events(profile: TransitionProfile,
     for _ in range(len(t) - int(assigned.sum())):  # events of dropped pairs
         assigned[rng.integers(len(assigned))] += 1
     return TemporalGraph.from_columns(np.repeat(src, assigned), np.repeat(dst, assigned),
-                                      (t - t0)[rng.permutation(len(t))], t0)
+                                      np.array(t, dtype=object)[rng.permutation(len(t))])
 
 
 def new_edge_probability(profile: TransitionProfile, n_cold_edges: int,
@@ -199,20 +197,20 @@ def simulate(profile: TransitionProfile, cold: TemporalGraph,
              rng: np.random.Generator) -> TemporalGraph:
     """Grow every cold event into a transition process and emit the result.
 
-    The chains of codes and real-valued times are drawn first, level by
-    level for all live processes at once. One pass in cold-event order then
-    emits each process's events, resolving new digits against the adjacency
-    of the events emitted before, and rounds the times to integer seconds.
-    A brand-new node gets an id past every node of the cold events.
+    The chains of codes and gaps are drawn first, level by level for all
+    live processes at once; a process's gaps are summed in float from 0,
+    rounded once and added to its cold event's int64 offset. One pass in
+    cold-event order then emits each process's events, resolving new digits
+    against the adjacency of the events emitted before. A brand-new node
+    gets an id past every node of the cold events.
     """
     cum, nxt, scale, src, dst = _compile(profile)
-    start = cold.t.astype(float)  # offsets from cold.t0, so any t0 stays exact
-    every = np.arange(start.size)
-    # per level: process, the entry's src and dst, time; level 0, the cold
-    # event, has src -1 to mark where a process opens
-    steps = [(every, np.full_like(every, -1), np.ones_like(every), start)]
+    every = np.arange(len(cold))
+    # per level: process, the entry's src and dst, the time since the cold
+    # event; level 0, the cold event, has src -1 to mark where a process opens
+    steps = [(every, np.full_like(every, -1), np.ones_like(every), np.zeros(every.size))]
     live = every if profile.probs.get(CODE_01) else every[:0]  # all start at 01
-    st, t = np.zeros(live.size, dtype=np.intp), start[live]
+    st, t = np.zeros(live.size, dtype=np.intp), np.zeros(live.size)
     while live.size:
         u = rng.random(live.size)
         pick = np.zeros(live.size, dtype=np.intp)
@@ -227,11 +225,13 @@ def simulate(profile: TransitionProfile, cold: TemporalGraph,
 
     proc, *digits, t = map(np.concatenate, zip(*steps))
     order = np.argsort(proc, kind="stable")  # stable: each process keeps its level order
-    ts = np.rint(t[order])
-    if ts.size and ts.max() >= 2**63:  # past any graph's span, and int64's range
-        raise GenerationError(f"replica times span {ts.max():.0f} s, 2**63 s or more")
+    gap, ts = np.rint(t[order]), cold.t[proc[order]]  # ts: its cold event's offset
+    # past any graph's span; the gap test comes first, as the int64 cast would wrap
+    if gap.max(initial=0) >= 2**63 or (gap.astype(np.int64) > 2**63 - 1 - ts).any():
+        raise GenerationError(f"replica times span {(ts + gap).max():.0f} s, 2**63 s or more")
+    ts += gap.astype(np.int64)
     s_digits, d_digits = (a[order].tolist() for a in digits)  # by process, then level
-    del steps, proc, digits, t, order  # a smaller peak: the pass reads only lists
+    del steps, proc, digits, t, order, gap  # a smaller peak: the pass reads only lists
     new_edge_p = new_edge_probability(
         profile, len(static_edges(cold.src, cold.dst, cold.node_count)[0]), len(cold))
     nodes: list[int] = []  # in order of first appearance
@@ -261,7 +261,7 @@ def simulate(profile: TransitionProfile, cold: TemporalGraph,
         out_partners[u][v] = in_partners[v][u] = None
         us.append(u)
         vs.append(v)
-    return TemporalGraph.from_columns(us, vs, ts.astype(np.int64), cold.t0)
+    return TemporalGraph.from_columns(us, vs, ts, cold.t0)
 
 
 def generate(profile: TransitionProfile, config: GenerationConfig) -> TemporalGraph:

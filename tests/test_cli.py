@@ -190,12 +190,21 @@ def _self_loop_profile(text: str) -> str:
     return json.dumps(doc)
 
 
+def _cold_span_profile(text: str) -> str:
+    # valid, but no graph holds cold times 2**63 s apart
+    doc = json.loads(text)
+    doc["t_ce"][-1] = doc["t_ce"][0] + 2**63
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda text: text[: len(text) // 2], "column"),
     (lambda text: json.dumps({"version": 1, "l_max": 3}), "missing key"),
     (_unbalanced_profile, "unbalanced stub totals"),
     (_self_loop_profile, "stub matching produced no edges"),
-], ids=["truncated_json", "missing_key", "unbalanced_stubs", "self_loop_only"])
+    (_cold_span_profile, "must be below 2**63 s"),
+], ids=["truncated_json", "missing_key", "unbalanced_stubs", "self_loop_only",
+        "cold_span"])
 def test_generate_rejects_broken_profile(tmp_path, corrupt, message):
     toy = write_toy(tmp_path)
     profile = tmp_path / "p.json"

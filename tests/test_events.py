@@ -21,7 +21,7 @@ from motifgen import (
     save_events,
     write_events,
 )
-from motifgen.events import static_edges
+from motifgen.events import _columns, static_edges
 
 from helpers import random_stream
 from surrogate import desk_scale_stream
@@ -112,6 +112,36 @@ def test_text_and_handle_parse_to_equal_graphs(tmp_path):
     g = parse_events(text)
     assert parse_events(io.StringIO(text)) == g == load_events(tmp_path / "g.txt")
     assert write_events(g) == text
+
+
+@pytest.mark.parametrize("text, rows", [
+    ("1 2 3\x0c4 5 6\n", None),  # a form feed is a blank: six fields on line 1
+    ("1 2\x1d3\n", [(1, 2, 3)]),  # a group separator too
+    ("# note\x0bx\n1 2 3\n", [(1, 2, 3)]),  # a vertical tab ends no comment
+    ("# a\x1e4 5 6\n7 8 9\r1 2 3\r\n", [(1, 2, 3), (7, 8, 9)]),
+])
+def test_text_handle_and_file_share_one_line_rule(tmp_path, text, rows):
+    # a line ends at LF, CR or CR LF, whether text or a handle is parsed
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode("ascii"))
+    parses = (lambda: parse_events(text), lambda: parse_events(io.StringIO(text)),
+              lambda: load_events(path))
+    for parse in parses:
+        if rows is None:
+            with pytest.raises(EdgeListParseError) as exc:
+                parse()
+            assert exc.value.lineno == 1
+        else:
+            assert parse() == TemporalGraph(rows)
+
+
+def test_comment_lines_between_data_lines_go_in_the_bulk_read():
+    rows = [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
+    for text in ("# head\n1 2 3\n  # a\n\t# b\n4 5 6\n#c\n\n7 8 9",
+                 "1 2 3\n# a\n4 5 6\n7 8 9\n  # tail, no newline"):
+        assert _columns(text).T.tolist() == list(map(list, rows))
+        for source in (text, io.StringIO(text)):
+            assert parse_events(source) == TemporalGraph(rows)
 
 
 def test_span_must_stay_below_2_63_seconds():

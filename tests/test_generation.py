@@ -428,9 +428,30 @@ def test_shifting_the_input_shifts_the_replica_exactly():
 
 
 def test_a_replica_spanning_2_63_seconds_raises():
-    # cold timestamps 2**63 s apart: no graph holds that span
+    # cold timestamps 2**63 s apart: no graph holds that span, and the
+    # graph, which owns that rule, raises
     profile = make_profile({}, t_ce=[5, 5 + 2**63])
-    with pytest.raises(GenerationError, match=r"2\*\*63"):
+    with pytest.raises(ValueError, match=r"2\*\*63") as exc:
+        generate(profile, GenerationConfig(seed=0))
+    assert type(exc.value) is ValueError
+
+
+def test_cold_times_past_2_53_seconds_apart_stay_exact():
+    # a float holds every integer only below 2**53: the replica's times
+    # are the cold events' integer offsets plus integer gaps
+    profile = make_profile({}, t_ce=[0, 2**53 + 1])
+    assert [e.t for e in generate(profile, GenerationConfig(seed=0))] == [0, 2**53 + 1]
+    for last in (2**60 + 3, 2**63 - 101):
+        profile = make_profile({"01": {"0112": 1.0}}, t_ce=[0, last],
+                               k_ce=[(0, 1), (1, 0), (1, 1)], ce_edge_weights=[1, 1])
+        for seed in range(5):
+            out = [e.t for e in generate(profile, GenerationConfig(seed=seed))]
+            assert len(out) == 4 and {0, last} <= set(out)
+            assert all(0 <= t < 100 or 0 <= t - last < 100 for t in out)
+    # a gap below 2**63 s that carries a late process past it
+    profile = make_profile({"01": {"0110": 1.0}}, rates={("01", "0110"): 1e-6},
+                           l_max=2, t_ce=[0, 2**63 - 2], ce_edge_weights=[2])
+    with pytest.raises(GenerationError, match=r"replica times span .*2\*\*63"):
         generate(profile, GenerationConfig(seed=0))
 
 
