@@ -173,7 +173,7 @@ def _count(g: TemporalGraph, levels: tuple[int, ...], delta_c: int,
         window_of = np.repeat(np.arange(window_count), np.diff([0, *starts, m]))
         window_end = np.append(starts, m)  # past each window
     key = np.empty(2 * m + 1, np.int64)
-    np.multiply(flat[order], m, out=key[:-1])
+    np.multiply(flat[order], m, out=key[:-1], dtype=np.int64)
     key[:-1] += order >> 1
     key[-1] = np.iinfo(np.int64).max  # a sentinel ends it
     lo_at, hi_at = np.empty((2, 2 * m), np.int32)

@@ -6,12 +6,15 @@ them, and the cold timestamps are dealt out into a graph's columns. Each cold
 event then seeds a transition process that walks the probability rows, draws
 exponential gaps from the matching rates, and resolves new-node digits to
 endpoints through the adjacency emitted so far. One generator, seeded once per
-graph, supplies every draw: the cold events, then every chain's codes and gaps
-level by level, then the partners of new digits in cold-event order.
+graph, supplies every draw in numpy blocks: the stub matching, the weights and
+the times of the cold events, then every chain's codes and gaps level by
+level, then a stream of uniforms for the partners of new digits in cold-event
+order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain
 
@@ -21,10 +24,10 @@ from .codec import CODE_01
 from .events import TemporalGraph, static_edges
 from .extraction import TransitionKey, TransitionProfile
 
-_SHUFFLE_TRIES = 100
-_BLOCK = 128  # Fisher-Yates draws per numpy call
-_PAIR_TRIES = 100
+_WHOLE_SHUFFLES = 5
+_STALL_ROUNDS = 64
 _PARTNER_TRIES = 64
+_UNIFORMS = 4096  # partner-pick uniforms per numpy call
 
 
 class GenerationError(ValueError):
@@ -38,72 +41,57 @@ class GenerationConfig:
     seed: int
 
 
-def _match_stubs(out_stubs: list[int], in_stubs: list[int],
-                 rng: np.random.Generator) -> tuple[list[int], list[int]]:
-    """Uniform stub matching avoiding self-loops and duplicate pairs; returns
-    the matched pairs' sources and targets. Both tiers walk a forward
-    Fisher-Yates shuffle of the in-stubs, step ``k`` drawing ``j ~ U[k, n)``.
-    Whole-shuffle rejection, restarted at the first bad pair, keeps the
-    matching exactly uniform over the admissible ones; when no clean shuffle
-    shows up (likely only at scale) bad pairs are re-drawn locally and
-    dropped as a last resort.
+def _bad_pairs(src: np.ndarray, dst: np.ndarray, n_nodes: int) -> np.ndarray:
+    """The positions of self-loops and of every repeat of a pair after its
+    first, found with one sort of the pairs' keys."""
+    key = src * n_nodes + dst
+    order = np.argsort(key)  # not stable: a pair's first copy is the lowest
+    key = key[order]  # position among its copies, in whatever order they come
+    first = np.minimum.reduceat(order, np.flatnonzero(np.diff(key, prepend=-1)))
+    repeat = np.ones(key.size, bool)
+    repeat[first] = False
+    return np.flatnonzero(repeat | (src == dst))
+
+
+def _match_stubs(out_stubs: np.ndarray, in_stubs: np.ndarray, n_nodes: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Stub matching avoiding self-loops and duplicate pairs; returns the
+    matched pairs' sources and targets, a node's id standing once per stub.
+
+    Up to ``_WHOLE_SHUFFLES`` uniform permutations of the in-stubs are tried
+    whole, each rejected at any bad pair: one that passes is exactly uniform
+    over the admissible matchings, and small inputs end here. Otherwise
+    rounds repair a fresh permutation. Each round re-deals, in uniform
+    order, the in-stubs at the bad positions (self-loops, and each repeat of
+    a pair after its first) and at as many positions drawn uniformly with
+    replacement, until no position is bad. The rounds are not exactly
+    uniform over the admissible matchings: a round moves only the positions
+    it re-deals, so matchings a few moves from many bad permutations come
+    out more often (on four nodes with one stub each, a four-cycle 0.13 of
+    the time and two swapped pairs 0.07, against 1/9). The rounds stop
+    making progress when ``_STALL_ROUNDS`` in a row leave no fewer bad
+    positions than the fewest so far; only then do the bad positions' stub
+    pairs drop.
     """
-    n, lows = len(out_stubs), np.arange(len(out_stubs))
-    for _ in range(_SHUFFLE_TRIES):
-        edges, dsts, moved = set(), [], {}  # moved: position -> in-stub index
-        blocks = (rng.integers(lows[k:k + _BLOCK], n).tolist() for k in range(0, n, _BLOCK))
-        for k, j in enumerate(chain.from_iterable(blocks)):
-            s, d = out_stubs[k], in_stubs[moved.get(j, j)]
-            moved[j] = moved.get(k, k)
-            if s == d or (s, d) in edges:
-                break
-            edges.add((s, d))
-            dsts.append(d)
+    n = in_stubs.size
+    for _ in range(_WHOLE_SHUFFLES):  # at scale, each fails at a self-loop
+        dst = in_stubs[rng.permutation(n)]
+        if not (out_stubs == dst).any() and not _bad_pairs(out_stubs, dst, n_nodes).size:
+            return out_stubs, dst
+    dst = in_stubs[rng.permutation(n)]
+    bad = _bad_pairs(out_stubs, dst, n_nodes)
+    fewest, stalled = bad.size, 0
+    while bad.size and stalled < _STALL_ROUNDS:
+        redeal = np.unique(np.concatenate((bad, rng.integers(n, size=bad.size))))
+        dst[redeal] = dst[rng.permutation(redeal)]
+        bad = _bad_pairs(out_stubs, dst, n_nodes)
+        if bad.size < fewest:
+            fewest, stalled = bad.size, 0
         else:
-            return out_stubs, dsts
-
-    outs = [out_stubs[j] for j in rng.permutation(n).tolist()]
-    ins = [in_stubs[j] for j in rng.permutation(n).tolist()]
-    first = rng.integers(lows, n).tolist()
-    edges, srcs, dsts = set(), [], []
-    for k, s in enumerate(outs):
-        placed = -1
-        for tries in range(_PAIR_TRIES):
-            j = int(rng.integers(k, n)) if tries else first[k]
-            if s != ins[j] and (s, ins[j]) not in edges:
-                placed = j
-                break
-        if placed < 0:  # scan the remaining in-stubs before harsher measures
-            placed = next((j for j in range(k, n)
-                           if s != ins[j] and (s, ins[j]) not in edges), -1)
-        if placed >= 0:
-            ins[k], ins[placed] = ins[placed], ins[k]
-            d = ins[k]
-        else:  # re-target a placed pair; failing that, the stub pair drops
-            d = _repair_wedge(s, ins, k, n, edges, srcs, dsts)
-            if d is None:
-                continue
-        edges.add((s, d))
-        srcs.append(s)
-        dsts.append(d)
-    return srcs, dsts
-
-
-def _repair_wedge(s: int, ins: list[int], k: int, n: int, edges: set[tuple[int, int]],
-                  srcs: list[int], dsts: list[int]) -> int | None:
-    """The partner one re-targeted placed pair frees for out-stub ``s``, or ``None``."""
-    for m, (s2, d2) in enumerate(zip(srcs, dsts)):
-        if s == d2 or (s, d2) in edges:
-            continue
-        for j in range(k, n):
-            d = ins[j]
-            if d != s2 and (s2, d) not in edges:
-                ins[k], ins[j] = ins[j], ins[k]
-                edges.remove((s2, d2))
-                edges.add((s2, d))
-                dsts[m] = d
-                return d2
-    return None
+            stalled += 1
+    kept = np.ones(n, bool)
+    kept[bad] = False
+    return out_stubs[kept], dst[kept]
 
 
 def generate_cold_events(profile: TransitionProfile,
@@ -112,19 +100,20 @@ def generate_cold_events(profile: TransitionProfile,
 
     The output reproduces the cold timestamp multiset exactly; its static
     projection realizes the extracted degree sequence up to dropped stub
-    pairs. Each matched pair takes as many permuted times as its weight; the
-    graph takes them as they are, and owns the rule on their span.
+    pairs, whose events go one by one to uniformly drawn placed pairs. Each
+    matched pair takes as many permuted times as its weight; the graph takes
+    them as they are, and owns the rule on their span.
     """
     t = profile.t_ce  # Python ints of any size, so permuted as objects
-    ins, outs = (np.repeat(np.arange(len(k)), k).tolist() for k in zip(*profile.k_ce))
-    src, dst = _match_stubs(outs, ins, rng)  # stubs: a node's id once per degree
-    if not src:
+    ins, outs = (np.repeat(np.arange(len(k)), k) for k in zip(*profile.k_ce))
+    src, dst = _match_stubs(outs, ins, len(profile.k_ce), rng)
+    if not src.size:
         raise GenerationError("stub matching produced no edges")
 
     weights = np.asarray(profile.ce_edge_weights)
     assigned = weights[rng.permutation(len(weights))[:len(src)]]
-    for _ in range(len(t) - int(assigned.sum())):  # events of dropped pairs
-        assigned[rng.integers(len(assigned))] += 1
+    dropped = len(t) - int(assigned.sum())  # events of dropped pairs
+    np.add.at(assigned, rng.integers(len(assigned), size=dropped), 1)
     return TemporalGraph.from_columns(np.repeat(src, assigned), np.repeat(dst, assigned),
                                       np.array(t, dtype=object)[rng.permutation(len(t))])
 
@@ -148,7 +137,7 @@ def new_edge_probability(profile: TransitionProfile, n_cold_edges: int,
 
 def select_edge_for_new_digit(nodes: list[int], linked: dict[int, None],
                               motif_nodes: set[int], new_edge_p: float,
-                              rng: np.random.Generator) -> int | None:
+                              draw: Callable[[], float]) -> int | None:
     """Pick the free endpoint of the event bringing a new node into a motif.
 
     ``linked`` holds the fixed node's partners in the new event's direction
@@ -157,19 +146,21 @@ def select_edge_for_new_digit(nodes: list[int], linked: dict[int, None],
     fixed node is reused; the partner always lies outside ``motif_nodes`` so
     the emitted event realizes the sampled code. Falls back from reuse to
     creation, and from creation to ``None``: a brand-new node, which the
-    caller mints.
+    caller mints. ``draw`` returns the next uniform in [0, 1), a multiple of
+    2**-53; an index into ``n`` items is ``int(u * n)``, which biases a pick
+    by at most n / 2**53.
     """
-    if rng.random() >= new_edge_p:
+    if draw() >= new_edge_p:
         candidates = [w for w in linked if w not in motif_nodes]
         if candidates:
-            return candidates[int(rng.integers(len(candidates)))]
+            return candidates[int(draw() * len(candidates))]
     for _ in range(_PARTNER_TRIES):
-        w = nodes[int(rng.integers(len(nodes)))]
+        w = nodes[int(draw() * len(nodes))]
         if w not in motif_nodes and w not in linked:
             return w
     candidates = [w for w in nodes if w not in motif_nodes and w not in linked]
     if candidates:
-        return candidates[int(rng.integers(len(candidates)))]
+        return candidates[int(draw() * len(candidates))]
     return None
 
 
@@ -241,6 +232,7 @@ def simulate(profile: TransitionProfile, cold: TemporalGraph,
     colds = zip(map(ids.__getitem__, cold.src.tolist()),
                 map(ids.__getitem__, cold.dst.tolist()))
     minted, us, vs = ids[-1] if ids else -1, [], []
+    draw = chain.from_iterable(iter(lambda: rng.random(_UNIFORMS).tolist(), None)).__next__
     for s_d, d_d in zip(s_digits, d_digits):
         if s_d < 0:  # the next cold event opens its process as digits 0 and 1
             nodes_v, s_d = list(next(colds)), 0
@@ -251,7 +243,7 @@ def simulate(profile: TransitionProfile, cold: TemporalGraph,
         elif len(nodes_v) in (s_d, d_d):  # a new digit: its partner becomes node n
             linked = (in_partners[nodes_v[d_d]] if s_d == len(nodes_v)
                       else out_partners[nodes_v[s_d]])
-            w = select_edge_for_new_digit(nodes, linked, set(nodes_v), new_edge_p, rng)
+            w = select_edge_for_new_digit(nodes, linked, set(nodes_v), new_edge_p, draw)
             if w is None:
                 minted = w = minted + 1
                 out_partners[w], in_partners[w] = {}, {}

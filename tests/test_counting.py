@@ -424,6 +424,37 @@ def test_spectra_exact_at_the_largest_span():
                 assert spectra[l].windows == window_totals(g, l, 2**64, 3)
 
 
+def test_spectra_exact_when_node_count_times_events_passes_2_31():
+    """The index's sort key ``node_rank * m + event`` passes 2**31 at 50,000
+    events over about 55,000 nodes: reversing the node ids, which moves the
+    busy nodes from the highest ranks to the lowest, changes no count or
+    window total, and l = 2 matches a pair scan."""
+    rng = np.random.default_rng(8)
+    m, hot = 50_000, 100_000 + np.arange(40)  # hot: busy nodes, ranked last
+    src, dst = rng.integers(100_000, size=(2, m))
+    busy = rng.random(m) < 0.2
+    src[busy], dst[busy] = rng.choice(hot, size=(2, busy.sum()))
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    t = np.sort(rng.integers(0, 2_000_000, size=src.size))
+    g = TemporalGraph.from_columns(src, dst, t)
+    assert g.node_count * len(g) >= 2**31
+    reversed_ids = TemporalGraph.from_columns(100_039 - src, 100_039 - dst, t)
+    spectra, flipped = (count_spectra(h, (2, 3), 300, window_count=10)
+                        for h in (g, reversed_ids))
+    for l in (2, 3):
+        assert spectra[l].counts == flipped[l].counts
+        assert spectra[l].windows == flipped[l].windows
+    pairs, k = 0, 1
+    while k < len(t) and (t[k:] - t[:-k] <= 300).any():
+        near = (t[k:] - t[:-k] <= 300) & (t[k:] > t[:-k])
+        a, b = (src[:-k], dst[:-k]), (src[k:], dst[k:])
+        shared = (a[0] == b[0]) | (a[0] == b[1]) | (a[1] == b[0]) | (a[1] == b[1])
+        pairs += int((near & shared).sum())
+        k += 1
+    assert spectra[2].total == pairs > 1000
+
+
 def test_spectra_leave_no_reference_cycles():
     rng = random.Random(77)
     g = random_stream(rng, n_events=40, n_nodes=6, t_max=60)
