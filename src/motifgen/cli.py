@@ -18,7 +18,7 @@ import click
 from . import __version__
 from .codec import MAX_SPECTRUM_EVENTS, enumerate_codes, transition_type_count
 from .counting import MAX_COUNT_EVENTS, count_motifs
-from .events import TemporalGraph, load_events, write_events
+from .events import TemporalGraph, load_events, write_blocks
 from .extraction import (cold_event_fraction, extract_profile, load_profile,
                          observed_transition_type_count, save_profile)
 from .generation import GenerationConfig, generate
@@ -99,7 +99,9 @@ def generate_cmd(profile_path: str, seed: int, runs: int, out_path: str):
         path = _run_path(out_path, i) if runs > 1 else Path(out_path)
         header = (f"# generated by motifgen {__version__}: "
                   f"seed={run_seed} l_max={profile.l_max} delta={profile.delta}\n")
-        path.write_text(header + write_events(g), encoding="ascii")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(header)
+            fh.writelines(write_blocks(g))
         click.echo(f"run {i}: seed={run_seed} events={len(g)} -> {path}")
 
 

@@ -107,11 +107,18 @@ class TemporalGraph:
                              f"must be below 2**63 s")
         self.t = (t - first).astype(np.int64)
         self.t0 = t0 + first
-        nodes, rank = np.unique(np.concatenate((src[order], dst[order])),
-                                return_inverse=True)
-        rank = rank.astype(np.int32)
+        # rank the node ids by one sort and an int32 scatter, which keeps
+        # no int64 inverse as np.unique(return_inverse=True) does
+        ids = np.concatenate((src[order], dst[order]))
+        by_id = np.argsort(ids)
+        ids = ids[by_id]
+        new = np.empty(len(ids), bool)  # an id's first place in sorted order
+        new[:1] = True
+        np.not_equal(ids[1:], ids[:-1], out=new[1:])
+        rank = np.empty(len(ids), np.int32)
+        rank[by_id] = np.cumsum(new, dtype=np.int32) - 1
         self.src, self.dst = rank[:len(order)], rank[len(order):]
-        self.nodes: list[int] = nodes.tolist()
+        self.nodes: list[int] = ids[new].tolist()
         self._rows: tuple[Event, ...] | None = None
         for column in (self.src, self.dst, self.t):
             column.flags.writeable = False
@@ -178,12 +185,34 @@ def end_index(g: TemporalGraph) -> tuple[np.ndarray, np.ndarray]:
     return flat, np.argsort(key, kind="stable").astype(np.int32)
 
 
+_PARSE_CHARS = 1 << 18  # characters a bulk-read block holds, before its cut
+_WRITE_EVENTS = 1 << 13  # events a written block holds
+
+
 def _columns(text: str) -> np.ndarray | None:
     """The ``src``, ``dst`` and ``t`` values of an edge list as the rows of
     a ``(3, m)`` array, or ``None`` where the line loop must read it: a line
     without exactly three fields, a field with a character other than a
     digit (a sign, an underscore, a letter), a value of 2**63 - 1 or more,
-    a lone carriage return, or a blank other than a space or a tab."""
+    a lone carriage return, or a blank other than a space or a tab.
+
+    The text is read in blocks of whole lines, each cut after the first
+    newline past ``_PARSE_CHARS`` characters, so that the bulk read's
+    per-character temporaries stay the size of one block."""
+    blocks, start = [], 0
+    while start < len(text):
+        end = text.find("\n", start + _PARSE_CHARS) + 1 or len(text)
+        values = _block_values(text[start:end])
+        if values is None:
+            return None
+        blocks.append(values)
+        start = end
+    return np.concatenate(blocks or [np.empty(0, np.int64)]).reshape(-1, 3).T
+
+
+def _block_values(text: str) -> np.ndarray | None:
+    """The fields of whole lines of an edge list in line order, or ``None``
+    where :func:`_columns` sends the text to the line loop."""
     text = text.replace("\r\n", "\n")
     if not text.isascii() or "\r" in text:
         return None
@@ -203,7 +232,7 @@ def _columns(text: str) -> np.ndarray | None:
     # exact for digits below the int64 maximum, where numpy saturates; one
     # value a field (text with no field at all would read as one 0)
     values = np.fromstring(text, np.int64, sep=" ")[:len(start)]
-    return values.reshape(-1, 3).T if values.max(initial=0) < 2**63 - 1 else None
+    return values if values.max(initial=0) < 2**63 - 1 else None
 
 
 def parse_events(source: str | IO[str]) -> TemporalGraph:
@@ -244,14 +273,24 @@ def parse_events(source: str | IO[str]) -> TemporalGraph:
     return TemporalGraph.from_events(events)
 
 
+def write_blocks(g: TemporalGraph) -> Iterator[str]:
+    """The edge list of ``g`` as consecutive blocks of ``_WRITE_EVENTS``
+    lines, one event a line in stored order; a writer that writes each
+    block holds one block's text at a time."""
+    names, t0 = list(map(str, g.nodes)), g.t0
+    for i in range(0, len(g), _WRITE_EVENTS):
+        part = slice(i, i + _WRITE_EVENTS)
+        yield "".join([f"{names[u]} {names[v]} {t0 + t}\n" for u, v, t
+                       in zip(g.src[part].tolist(), g.dst[part].tolist(),
+                              g.t[part].tolist())])
+
+
 def write_events(g: TemporalGraph) -> str:
     """Serialize to the edge-list format, one event per line in stored order.
 
     ``parse_events(write_events(g))`` reproduces ``g`` event for event.
     """
-    names, t0 = list(map(str, g.nodes)), g.t0
-    return "".join([f"{names[u]} {names[v]} {t0 + t}\n" for u, v, t
-                    in zip(g.src.tolist(), g.dst.tolist(), g.t.tolist())])
+    return "".join(write_blocks(g))
 
 
 def load_events(path) -> TemporalGraph:
@@ -261,4 +300,4 @@ def load_events(path) -> TemporalGraph:
 
 def save_events(g: TemporalGraph, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(write_events(g))
+        fh.writelines(write_blocks(g))

@@ -82,7 +82,10 @@ def _match_stubs(out_stubs: np.ndarray, in_stubs: np.ndarray, n_nodes: int,
     bad = _bad_pairs(out_stubs, dst, n_nodes)
     fewest, stalled = bad.size, 0
     while bad.size and stalled < _STALL_ROUNDS:
-        redeal = np.unique(np.concatenate((bad, rng.integers(n, size=bad.size))))
+        redeal = np.zeros(n, bool)  # a mask, not np.unique: that imports numpy.ma
+        redeal[bad] = True
+        redeal[rng.integers(n, size=bad.size)] = True
+        redeal = np.flatnonzero(redeal)
         dst[redeal] = dst[rng.permutation(redeal)]
         bad = _bad_pairs(out_stubs, dst, n_nodes)
         if bad.size < fewest:
@@ -253,6 +256,7 @@ def simulate(profile: TransitionProfile, cold: TemporalGraph,
         out_partners[u][v] = in_partners[v][u] = None
         us.append(u)
         vs.append(v)
+    del out_partners, in_partners, s_digits, d_digits, nodes, colds  # a smaller peak
     return TemporalGraph.from_columns(us, vs, ts, cold.t0)
 
 

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import motifgen
-from motifgen import write_events
+from motifgen import GenerationConfig, generate, load_profile, write_events
 from motifgen.cli import main
 
 from helpers import random_stream
@@ -153,6 +153,26 @@ def test_generate_multiple_runs(tmp_path):
     assert all(p.exists() for p in paths)
     contents = {p.read_text() for p in paths}
     assert len(contents) == 3  # distinct seeds, distinct graphs
+
+
+def test_generate_writes_the_header_then_the_edge_list(tmp_path, monkeypatch):
+    monkeypatch.setattr("motifgen.events._WRITE_EVENTS", 7)  # several blocks a run
+    data = tmp_path / "input.txt"
+    data.write_text(write_events(random_stream(random.Random(40), n_events=150,
+                                               n_nodes=10, t_max=900)))
+    profile = tmp_path / "p.json"
+    run("extract", data, "--lmax", 3, "--delta", 60, "--out", profile)
+    result = run("generate", "--profile", profile, "--seed", 3, "--runs", 2,
+                 "--out", tmp_path / "synth.txt")
+    assert result.exit_code == 0, result.output
+    loaded = load_profile(profile)
+    for i, seed in enumerate((3, 4)):
+        header = (f"# generated by motifgen {motifgen.__version__}: "
+                  f"seed={seed} l_max=3 delta=60\n")
+        replica = generate(loaded, GenerationConfig(seed=seed))
+        assert len(replica) > 7
+        assert ((tmp_path / f"synth-{i}.txt").read_bytes()
+                == (header + write_events(replica)).encode("ascii"))
 
 
 def test_generated_output_reparses(tmp_path):

@@ -3,6 +3,7 @@ import io
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,14 +70,17 @@ def test_parse_errors_carry_line_numbers():
         parse_events("-1 2 3\n")
 
 
-@pytest.mark.parametrize("text, error, lineno", [
+BLAMED = [  # (text, the error it raises, the line at fault)
     ("1 2\n3 4 5 6\n", EdgeListParseError, 1),  # six fields, but not three a line
     ("1 2 3 4 5 6\n", EdgeListParseError, 1),
     ("# header\n\n1 2 3\n\n  # note\n4 x 6\n", EdgeListParseError, 6),
     ("# header\n1 2 3\n1 2 -3\n", EdgeListValidationError, 3),
     ("1 2 3\n0x1 2 3\n", EdgeListParseError, 2),
     ("1 2 3\n1 2 3 # note\n", EdgeListParseError, 2),
-])
+]
+
+
+@pytest.mark.parametrize("text, error, lineno", BLAMED)
 def test_parse_errors_name_the_line_to_blame(text, error, lineno):
     for source in (text, io.StringIO(text)):
         with pytest.raises(error) as exc:
@@ -84,7 +88,7 @@ def test_parse_errors_name_the_line_to_blame(text, error, lineno):
         assert type(exc.value) is error and exc.value.lineno == lineno
 
 
-@pytest.mark.parametrize("text, rows", [
+READS = [  # (text, the rows it holds)
     ("1 2 3\r\n4 5 6\r\n", [(1, 2, 3), (4, 5, 6)]),
     ("+5 1_000 3\n", [(5, 1000, 3)]),
     ("1\t2\t3\n\n 4 5  6", [(1, 2, 3), (4, 5, 6)]),
@@ -92,14 +96,20 @@ def test_parse_errors_name_the_line_to_blame(text, error, lineno):
     ("1 2 3\r4 5 6", [(1, 2, 3), (4, 5, 6)]),  # a lone CR ends a line of text
     (f"1 2 {2**64}\n4 5 {2**64 + 3}\n", [(1, 2, 2**64), (4, 5, 2**64 + 3)]),
     (f"{2**63 - 1} 2 3\n", [(2**63 - 1, 2, 3)]),
-])
+]
+
+
+@pytest.mark.parametrize("text, rows", READS)
 def test_parse_reads_what_int_reads(text, rows):
     g = parse_events(text)
     assert [tuple(e) for e in g.events] == rows
     assert g == TemporalGraph(rows) != text
 
 
-@pytest.mark.parametrize("text", ["", "# a\n", "\n", "  \n", "# header\n\n", "\t\n \n"])
+EMPTY = ["", "# a\n", "\n", "  \n", "# header\n\n", "\t\n \n"]
+
+
+@pytest.mark.parametrize("text", EMPTY)
 def test_text_without_events_parses_to_the_empty_graph(text):
     for source in (text, io.StringIO(text)):
         g = parse_events(source)
@@ -114,12 +124,15 @@ def test_text_and_handle_parse_to_equal_graphs(tmp_path):
     assert write_events(g) == text
 
 
-@pytest.mark.parametrize("text, rows", [
+LINE_RULE = [  # (text, its rows, or None where line 1 is at fault)
     ("1 2 3\x0c4 5 6\n", None),  # a form feed is a blank: six fields on line 1
     ("1 2\x1d3\n", [(1, 2, 3)]),  # a group separator too
     ("# note\x0bx\n1 2 3\n", [(1, 2, 3)]),  # a vertical tab ends no comment
     ("# a\x1e4 5 6\n7 8 9\r1 2 3\r\n", [(1, 2, 3), (7, 8, 9)]),
-])
+]
+
+
+@pytest.mark.parametrize("text, rows", LINE_RULE)
 def test_text_handle_and_file_share_one_line_rule(tmp_path, text, rows):
     # a line ends at LF, CR or CR LF, whether text or a handle is parsed
     path = tmp_path / "g.txt"
@@ -135,13 +148,82 @@ def test_text_handle_and_file_share_one_line_rule(tmp_path, text, rows):
             assert parse() == TemporalGraph(rows)
 
 
+COMMENTED = ["# head\n1 2 3\n  # a\n\t# b\n4 5 6\n#c\n\n7 8 9",
+             "1 2 3\n# a\n4 5 6\n7 8 9\n  # tail, no newline"]
+
+
 def test_comment_lines_between_data_lines_go_in_the_bulk_read():
     rows = [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
-    for text in ("# head\n1 2 3\n  # a\n\t# b\n4 5 6\n#c\n\n7 8 9",
-                 "1 2 3\n# a\n4 5 6\n7 8 9\n  # tail, no newline"):
+    for text in COMMENTED:
         assert _columns(text).T.tolist() == list(map(list, rows))
         for source in (text, io.StringIO(text)):
             assert parse_events(source) == TemporalGraph(rows)
+
+
+def _parsed(text: str):
+    """What ``parse_events`` makes of ``text``: the graph, or the error's
+    type and line."""
+    try:
+        return parse_events(text)
+    except ValueError as exc:
+        return type(exc), exc.lineno
+
+
+CORPUS = ([text for text, *_ in BLAMED + READS + LINE_RULE] + EMPTY + COMMENTED
+          + ["1 2 3\n" * 9, write_events(desk_scale_stream(n_events=300))])
+
+
+@pytest.mark.parametrize("chars", [1, 2, 5, 13, 64])
+def test_parse_blocks_read_as_one_block(monkeypatch, chars):
+    whole = [(_columns(text), _parsed(text)) for text in CORPUS]
+    monkeypatch.setattr("motifgen.events._PARSE_CHARS", chars)
+    for text, (columns, parsed) in zip(CORPUS, whole):
+        blocked = _columns(text)
+        assert (blocked is None if columns is None
+                else np.array_equal(blocked, columns)), text
+        assert _parsed(text) == parsed, text
+
+
+@pytest.mark.parametrize("bad, error", [("4 x 6", EdgeListParseError),
+                                         ("4 5 -6", EdgeListValidationError)])
+def test_a_later_block_at_fault_names_its_own_line(monkeypatch, bad, error):
+    monkeypatch.setattr("motifgen.events._PARSE_CHARS", 16)
+    lines = [f"{i} {i + 1} {i}" for i in range(60)]
+    lines[47] = bad
+    text = "# header\n" + "\n".join(lines) + "\n"
+    with pytest.raises(error) as exc:
+        parse_events(text)
+    assert exc.value.lineno == 49
+
+
+def test_node_ids_past_2_63_rank_in_order():
+    big = 2**64
+    rows = [(big + 5, 3, 10), (7, big + 5, 4), (2**63, big + 5, 6),
+            (3, 2**63, 8), (big + 9, 7, 2), (big + 9, big + 9, 3)]
+    ids = sorted({u for u, v, _ in rows if u != v} | {v for u, v, _ in rows if u != v})
+    kept = sorted((r for r in rows if r[0] != r[1]), key=lambda r: r[2])
+    text = "".join(f"{u} {v} {t}\n" for u, v, t in rows)
+    assert _columns(text) is None  # the line loop reads ids past the int64 range
+    columns = [np.array(c, dtype=object) for c in zip(*rows)]
+    for g in (TemporalGraph(rows), parse_events(text),
+              TemporalGraph.from_columns(*columns)):
+        assert g.nodes == ids
+        assert g.src.dtype == g.dst.dtype == np.int32
+        assert g.src.tolist() == [ids.index(u) for u, _, _ in kept]
+        assert g.dst.tolist() == [ids.index(v) for _, v, _ in kept]
+        assert parse_events(write_events(g)) == g == TemporalGraph(kept)
+        assert g.dropped_self_loops == 1
+
+
+@pytest.mark.parametrize("n_events", [0, 2, 3, 10])
+def test_written_blocks_are_write_events_bytes(tmp_path, monkeypatch, n_events):
+    g = random_stream(random.Random(n_events), n_events=n_events, n_nodes=6, t_max=90)
+    text = write_events(g)
+    monkeypatch.setattr("motifgen.events._WRITE_EVENTS", 3)
+    save_events(g, tmp_path / "g.txt")
+    assert (tmp_path / "g.txt").read_bytes() == text.encode("ascii")
+    assert write_events(g) == text
+    assert len(text.splitlines()) == len(g)
 
 
 def test_span_must_stay_below_2_63_seconds():
