@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -29,6 +30,7 @@ DEFAULT_DELTA = 3600
 DEFAULT_DELTA_C = 3600
 DEFAULT_RUNS = 10
 DEFAULT_SEED = 1
+EXACT_TYPES_LMAX = 12  # beyond it, the count of possible types is a lower bound
 
 
 @click.group()
@@ -57,19 +59,20 @@ def spectrum(l: int):
 def extract(input_path: str, lmax: int, delta: int, out_path: str):
     """Scan an edge list and write its transition profile."""
     g = _load(input_path)
-    try:
+    with _failing(input_path):  # e.g. no events left after parsing
         profile = extract_profile(g, delta=delta, l_max=lmax)
-    except ValueError as exc:  # e.g. no events left after parsing
-        raise click.ClickException(f"{input_path}: {exc}")
-    save_profile(profile, out_path)
+    with _failing(out_path):
+        save_profile(profile, out_path)
     if g.dropped_self_loops:
         click.echo(f"dropped self-loops: {g.dropped_self_loops}")
     click.echo(f"events: {profile.input_event_count}")
     click.echo(f"cold events: {profile.cold_event_count} "
                f"(fraction {cold_event_fraction(profile):.4f})")
+    shown = min(lmax, EXACT_TYPES_LMAX)
     click.echo(f"observed transition types: "
-               f"{observed_transition_type_count(profile)} "
-               f"of {transition_type_count(lmax)} possible")
+               f"{observed_transition_type_count(profile)} of "
+               f"{'' if shown == lmax else 'more than '}"
+               f"{transition_type_count(shown)} possible")
     click.echo(f"mean final-motif edges: {profile.mu:.4f}")
     click.echo(f"profile written to {out_path}")
 
@@ -86,20 +89,16 @@ def extract(input_path: str, lmax: int, delta: int, out_path: str):
               required=True, help="Output edge list (run index appended when runs > 1).")
 def generate_cmd(profile_path: str, seed: int, runs: int, out_path: str):
     """Generate synthetic edge lists from a profile."""
-    try:
+    with _failing(profile_path):
         profile = load_profile(profile_path)
-    except ValueError as exc:
-        raise click.ClickException(f"{profile_path}: {exc}")
     for i in range(runs):
         run_seed = seed + i
-        try:
+        with _failing(profile_path):  # cold degrees that admit no edge, too long a span
             g = generate(profile, GenerationConfig(seed=run_seed))
-        except ValueError as exc:  # cold degrees that admit no edge, too long a span
-            raise click.ClickException(f"{profile_path}: {exc}")
         path = _run_path(out_path, i) if runs > 1 else Path(out_path)
         header = (f"# generated by motifgen {__version__}: "
                   f"seed={run_seed} l_max={profile.l_max} delta={profile.delta}\n")
-        with open(path, "w", encoding="ascii") as fh:
+        with _failing(path), open(path, "w", encoding="ascii") as fh:
             fh.write(header)
             fh.writelines(write_blocks(g))
         click.echo(f"run {i}: seed={run_seed} events={len(g)} -> {path}")
@@ -137,10 +136,8 @@ def count(input_path: str, l: int, delta_c: int, fmt: str, out_path: str | None)
 def stats(input_path: str, fmt: str, out_path: str | None):
     """Global statistics of one edge list."""
     g = _load(input_path)
-    try:
+    with _failing():
         s = global_stats(g).as_dict()
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
     s["node_count"] = g.node_count
     _emit(s, ["metric", "value"], s.items(), fmt, out_path)
 
@@ -166,15 +163,16 @@ def compare(original: str, synthetics: tuple[str, ...], delta_c: int,
     """Compare synthetic edge lists against the original."""
     orig = _load(original)
     synths = [_load(p) for p in synthetics]
-    try:
+    empty = next((p for p, g in zip((original, *synthetics), (orig, *synths))
+                  if not len(g)), None)  # the file an empty-graph error names
+    with _failing(empty):
         report = compare_report(orig, synths, delta_c=delta_c, l_set=l_set,
                                 window_count=windows)
-    except ValueError as exc:  # e.g. an empty edge list
-        raise click.ClickException(str(exc))
-    Path(out_path).write_text(json.dumps(report, indent=1) + "\n",
-                              encoding="ascii")
-    if fmt == "csv":
-        _write_csv_tables(report, Path(out_path))
+    with _failing(out_path):
+        Path(out_path).write_text(json.dumps(report, indent=1) + "\n",
+                                  encoding="ascii")
+        if fmt == "csv":
+            _write_csv_tables(report, Path(out_path))
     _echo_summary(report)
     click.echo(f"report written to {out_path}")
 
@@ -224,11 +222,21 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
-def _load(path: str) -> TemporalGraph:
+@contextmanager
+def _failing(path: str | None = None):
+    """Turn bad data into one ``Error:`` line naming ``path``, and a file
+    that cannot be read or written into one naming that file."""
     try:
-        return load_events(path)
+        yield
+    except OSError as exc:  # e.g. an output under a missing directory
+        raise click.ClickException(f"{exc.filename or path}: {exc.strerror or exc}")
     except ValueError as exc:
-        raise click.ClickException(f"{path}: {exc}")
+        raise click.ClickException(f"{path}: {exc}" if path else str(exc))
+
+
+def _load(path: str) -> TemporalGraph:
+    with _failing(path):
+        return load_events(path)
 
 
 def _emit(doc: dict, header: Sequence[str], rows: Iterable[Sequence],
@@ -236,7 +244,8 @@ def _emit(doc: dict, header: Sequence[str], rows: Iterable[Sequence],
     """Write ``doc`` as JSON, or ``rows`` under ``header`` as CSV."""
     text = json.dumps(doc, indent=1) + "\n" if fmt == "json" else _csv(header, rows)
     if out_path:
-        Path(out_path).write_text(text, encoding="ascii")
+        with _failing(out_path):
+            Path(out_path).write_text(text, encoding="ascii")
     else:
         click.echo(text, nl=False)
 

@@ -78,6 +78,17 @@ def test_extract_large_lmax_reports_the_possible_types(tmp_path):
     assert json.loads(out.read_text())["l_max"] == 9
 
 
+@pytest.mark.parametrize("lmax", [1100, 1_000_000])
+def test_extract_huge_lmax_reports_a_bound_on_the_possible_types(tmp_path, lmax):
+    toy = write_toy(tmp_path, content="1 2 1\n2 3 2\n3 1 3\n")
+    out = tmp_path / "p.json"
+    result = run("extract", toy, "--lmax", lmax, "--delta", 5, "--out", out)
+    assert result.exit_code == 0, result.output
+    assert result.exception is None  # no traceback
+    assert "of more than 6893357993282250 possible" in result.output
+    assert json.loads(out.read_text())["l_max"] == lmax
+
+
 @pytest.mark.parametrize("content", ["# x\n", "1 1 5\n", "\n", "# x\n\n"],
                          ids=["comments_only", "self_loops_only", "blank_line",
                               "comment_and_blank_line"])
@@ -394,6 +405,34 @@ def test_compare_rejects_an_empty_edge_list(tmp_path):
     assert result.exit_code == 1
     assert result.output == ("Error: global statistics are undefined for an "
                              "empty graph\n")
+
+
+def test_compare_names_the_empty_edge_list(tmp_path):
+    toy = write_toy(tmp_path)
+    empty = write_toy(tmp_path, "empty.txt", content="# x\n")
+    result = run("compare", toy, toy, empty, "--out", tmp_path / "r.json")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output == (f"Error: {empty}: global statistics are "
+                             "undefined for an empty graph\n")
+
+
+@pytest.mark.parametrize("command, out_name", [
+    (["extract", "{toy}"], "p.json"),
+    (["generate", "--profile", "{profile}", "--runs", 1], "g.txt"),
+    (["count", "{toy}", "--l", 2], "c.json"),
+    (["stats", "{toy}"], "s.json"),
+    (["compare", "{toy}", "{toy}", "--format", "csv"], "r.json"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_out_under_a_missing_directory_is_one_error_line(tmp_path, command, out_name):
+    paths = {"toy": write_toy(tmp_path), "profile": tmp_path / "profile.json"}
+    run("extract", paths["toy"], "--lmax", 3, "--delta", 5, "--out", paths["profile"])
+    out = tmp_path / "missing" / out_name
+    result = run(*[str(a).format(**paths) for a in command], "--out", out)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output == f"Error: {out}: No such file or directory\n"
+    assert not out.parent.exists()
 
 
 def test_malformed_input_nonzero_exit(tmp_path):

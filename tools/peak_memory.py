@@ -1,71 +1,50 @@
-"""Peak and current resident memory of the desk flow, stage by stage.
+"""Peak and current resident memory of the benchmark's desk pass, stage by stage.
 
-Runs, in one fresh process, what ``motifgen extract``, ``generate`` and
-``compare`` do with their default settings on the desk-scale surrogate
-stream of ``bench/inputs.py``: load the edge list, extract and save the
-profile; load the profile; generate and save a replica at seeds ``seed`` and
-``seed + 1``; then load the three edge lists and compare. As a pass of the
-benchmark's ``desk60k-pipeline`` does, it keeps the input graph, its profile
-and the replicas until the end. The input is drawn
-and written first, in this process; the flow then runs in a spawned one,
-which prints after each stage its peak RSS (``VmHWM``) and its current RSS
-(``VmRSS``) in MiB. Both are read from ``/proc/self/status``, so this runs on
-Linux only.
+Writes the desk-scale surrogate stream of ``bench/inputs.py``, then runs the
+benchmark's own ``desk_pipeline`` on it, untraced as a timed pass runs, in a
+spawned process. That process prints its peak (``VmHWM``) and current
+(``VmRSS``) RSS in MiB after its imports and as each ``stage.*`` span closes,
+read from ``/proc/self/status``, so this runs on Linux only. Usage::
 
-Usage, from the repository root::
-
-    python tools/peak_memory.py
     python tools/peak_memory.py --events 240000 --nodes 7600 --seed 7
 """
-
-from __future__ import annotations
 
 import argparse
 import multiprocessing
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-L_MAX, DELTA, DELTA_C, COMPARE_L, WINDOWS = 4, 3600, 3600, (2, 3), 10
 
-
-def rss_mib() -> tuple[float, float]:
-    """This process's (peak, current) resident set size in MiB."""
+def print_rss(label: str) -> None:
     fields = dict(line.split(":", 1) for line in
                   Path("/proc/self/status").read_text().splitlines())
-    return tuple(int(fields[k].split()[0]) / 1024 for k in ("VmHWM", "VmRSS"))
+    peak, current = (int(fields[k].split()[0]) / 1024 for k in ("VmHWM", "VmRSS"))
+    print(f"{label:<18}{peak:>10.1f}{current:>13.1f}", flush=True)
 
 
-def report(stage: str) -> None:
-    peak, current = rss_mib()
-    print(f"{stage:<18}{peak:>10.1f}{current:>13.1f}", flush=True)
+def probe(text_path: Path, seed: int) -> None:
+    """Run the desk pass, printing a row as each stage ends."""
+    import workloads
+    from spans import Recorder
 
+    seeds = iter(workloads.gen_seeds(seed))
 
-def flow(text_path: Path, seed: int) -> None:
-    """The desk flow, a row printed after each stage."""
-    from motifgen import events, extraction, generation, stats
+    class StageRows(Recorder):
+        @contextmanager
+        def span(self, name: str):
+            with super().span(name) as rec:
+                yield rec
+            label = name.removeprefix("stage.").replace("_", " ")
+            print_rss(f"{label} {next(seeds)}" if label == "generate" else label)
 
     print(f"{'stage':<18}{'peak MiB':>10}{'current MiB':>13}")
-    report("imports")
-    work = text_path.parent
-    kept = [events.load_events(text_path)]
-    kept.append(extraction.extract_profile(kept[0], delta=DELTA, l_max=L_MAX))
-    extraction.save_profile(kept[-1], work / "profile.json")
-    report("extract")
-    profile = extraction.load_profile(work / "profile.json")
-    report("profile load")
-    paths = [work / f"replica-{s}.txt" for s in (seed, seed + 1)]
-    for s, path in zip((seed, seed + 1), paths):
-        kept.append(generation.generate(profile, generation.GenerationConfig(seed=s)))
-        events.save_events(kept[-1], path)
-        report(f"generate {s}")
-    stats.compare_report(events.load_events(text_path),
-                         [events.load_events(p) for p in paths],
-                         delta_c=DELTA_C, l_set=COMPARE_L, window_count=WINDOWS)
-    report("compare")
+    print_rss("imports")
+    workloads.desk_pipeline(StageRows("peak-memory"), text_path, text_path.parent, seed)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -81,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
         text_path.write_text(desk_scale_edges(args.seed, n_events=args.events,
                                               n_nodes=args.nodes), encoding="ascii")
         child = multiprocessing.get_context("spawn").Process(
-            target=flow, args=(text_path, args.seed))
+            target=probe, args=(text_path, args.seed))
         child.start()
         child.join()
     return child.exitcode
